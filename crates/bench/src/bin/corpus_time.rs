@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use lsms_bench::{bounds_sweep, evaluate_corpus_session, BenchArgs, LoopRecord, CORPUS_SEED};
+use lsms_bench::{evaluate_corpus_session, BenchArgs, LoopRecord, CORPUS_SEED};
 use lsms_machine::huff_machine;
 use lsms_pipeline::CompileSession;
 
@@ -34,8 +34,6 @@ struct MinDistCounters {
     hits: u64,
     misses: u64,
     fw_computes: u64,
-    parametric_builds: u64,
-    materialized: u64,
 }
 
 /// The session's `sched-cache` accounting entry: how the
@@ -62,8 +60,6 @@ fn mindist_snapshot(session: &CompileSession) -> MinDistCounters {
         hits: get("hits"),
         misses: get("misses"),
         fw_computes: get("fw_computes"),
-        parametric_builds: get("parametric_builds"),
-        materialized: get("materialized"),
     }
 }
 
@@ -88,8 +84,6 @@ impl MinDistCounters {
             hits: self.hits - before.hits,
             misses: self.misses - before.misses,
             fw_computes: self.fw_computes - before.fw_computes,
-            parametric_builds: self.parametric_builds - before.parametric_builds,
-            materialized: self.materialized - before.materialized,
         }
     }
 }
@@ -177,12 +171,12 @@ fn json_entry(t: &Timing) -> String {
         "{{\"label\": \"{}\", \"jobs\": {}, \"total_secs\": {:.6}, \"per_loop_ms\": {{\"p50\": {:.4}, \"p90\": {:.4}, \"p99\": {:.4}}}, \
          \"straggler_idle_us\": {}, \
          \"engine\": {{\"bounds_cells_touched\": {}, \"choose_scan_len\": {}}}, \
-         \"mindist\": {{\"hits\": {}, \"misses\": {}, \"fw_computes\": {}, \"parametric_builds\": {}, \"materialized\": {}}}, \
+         \"mindist\": {{\"hits\": {}, \"misses\": {}, \"fw_computes\": {}}}, \
          \"sched_cache\": {{\"hits\": {}, \"misses\": {}, \"inserts\": {}, \"warm_hits\": {}}}}}",
         t.label, t.jobs, t.total_secs, t.p50_ms, t.p90_ms, t.p99_ms,
         t.straggler_idle_us,
         cells, scans,
-        m.hits, m.misses, m.fw_computes, m.parametric_builds, m.materialized,
+        m.hits, m.misses, m.fw_computes,
         c.hits, c.misses, c.inserts, c.warm_hits
     )
 }
@@ -219,8 +213,8 @@ fn main() {
     println!("  parallel speedup {speedup:.2}x, cached-rerun speedup {cached_speedup:.2}x");
     let m = &multi.mindist;
     println!(
-        "  mindist: {} hits / {} misses ({} FW, {} materialized from {} parametric builds)",
-        m.hits, m.misses, m.fw_computes, m.materialized, m.parametric_builds
+        "  mindist: {} hits / {} misses ({} FW)",
+        m.hits, m.misses, m.fw_computes
     );
     let c = &cached.sched_cache;
     println!(
@@ -237,20 +231,14 @@ fn main() {
         }
     }
 
-    // The dense-vs-sparse bounds-propagation A/B over the ejection-heavy
-    // subset rides along in the same report.
-    let sweep = bounds_sweep(args.corpus_size, CORPUS_SEED);
-    print!("{}", sweep.summary());
-
     let hardware = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"benchmark\": \"corpus_time\",\n  \"corpus_size\": {},\n  \"seed\": {},\n  \"hardware_threads\": {},\n  \"speedup\": {:.3},\n  \"cached_speedup\": {:.3},\n  \"bounds_sweep\": {},\n  \"runs\": [\n    {},\n    {},\n    {}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"corpus_time\",\n  \"corpus_size\": {},\n  \"seed\": {},\n  \"hardware_threads\": {},\n  \"speedup\": {:.3},\n  \"cached_speedup\": {:.3},\n  \"runs\": [\n    {},\n    {},\n    {}\n  ]\n}}\n",
         args.corpus_size,
         CORPUS_SEED,
         hardware,
         speedup,
         cached_speedup,
-        sweep.json(),
         json_entry(&single),
         json_entry(&multi),
         json_entry(&cached),

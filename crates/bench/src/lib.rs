@@ -502,148 +502,6 @@ pub fn cumulative_histogram(title: &str, series: &[(&str, Vec<i64>)]) -> String 
     out
 }
 
-/// The dense-vs-sparse bounds-propagation A/B over the corpus's
-/// ejection-heavy loops (the `bounds_sweep` microbench; see DESIGN.md
-/// "Engine complexity").
-#[derive(Clone, Debug, Default)]
-pub struct BoundsSweepReport {
-    /// Loops drawn from the corpus.
-    pub corpus_size: usize,
-    /// Loops whose dependence graph built into a scheduling problem.
-    pub probed: usize,
-    /// Ejection-heavy subset actually timed (`ejected_ops > 0` on the
-    /// probe run — the loops where `recompute_bounds` and the forcing
-    /// sweep, the O(n²)-per-ejection terms, run at all).
-    pub kept: usize,
-    /// Total operations ejected across the kept loops.
-    pub ejections: u64,
-    /// Wall-clock for the kept loops under the dense reference.
-    pub dense_ms: f64,
-    /// Wall-clock for the kept loops under the sparse (default) path.
-    pub sparse_ms: f64,
-    /// `MinDist` cells probed by dense bounds propagation.
-    pub dense_cells: u64,
-    /// Reachability-list entries read by sparse bounds propagation.
-    pub sparse_cells: u64,
-}
-
-impl BoundsSweepReport {
-    /// The JSON object embedded in `BENCH_corpus.json` and written by the
-    /// `bounds_sweep` binary.
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"corpus_size\":{},\"probed\":{},\"kept\":{},\"ejections\":{},\
-             \"dense_ms\":{:.4},\"sparse_ms\":{:.4},\"dense_cells\":{},\"sparse_cells\":{}}}",
-            self.corpus_size,
-            self.probed,
-            self.kept,
-            self.ejections,
-            self.dense_ms,
-            self.sparse_ms,
-            self.dense_cells,
-            self.sparse_cells,
-        )
-    }
-
-    /// Human-readable summary lines.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "bounds_sweep: {} corpus loops, {} schedulable, {} ejection-heavy ({} ejections)",
-            self.corpus_size, self.probed, self.kept, self.ejections
-        );
-        let _ = writeln!(
-            out,
-            "  dense reference: {:>9.3} ms  ({} MinDist cells probed)",
-            self.dense_ms, self.dense_cells
-        );
-        let _ = writeln!(
-            out,
-            "  sparse (default):{:>9.3} ms  ({} reachability entries read)",
-            self.sparse_ms, self.sparse_cells
-        );
-        if self.sparse_ms > 0.0 && self.sparse_cells > 0 {
-            let _ = writeln!(
-                out,
-                "  speedup {:.2}x, cells ratio {:.2}x",
-                self.dense_ms / self.sparse_ms,
-                self.dense_cells as f64 / self.sparse_cells as f64
-            );
-        }
-        out
-    }
-}
-
-/// Times dense-reference vs sparse bounds propagation over the corpus's
-/// ejection-heavy loops, asserting the schedules are identical. Each arm
-/// recycles one mode-pinned [`lsms_sched::EngineWorkspace`] across loops
-/// and pays for a fresh `MinDistCache` per loop, so the arms differ only
-/// in [`lsms_sched::BoundsMode`].
-pub fn bounds_sweep(count: usize, seed: u64) -> BoundsSweepReport {
-    use lsms_sched::{BoundsMode, EngineWorkspace, MinDistCache, SchedProblem, SlackScheduler};
-    use std::time::Instant;
-
-    let machine = lsms_machine::huff_machine();
-    let scheduler = SlackScheduler::new();
-    let loops = lsms_loops::corpus(count, seed);
-    let mut report = BoundsSweepReport {
-        corpus_size: loops.len(),
-        ..BoundsSweepReport::default()
-    };
-
-    // Probe pass (sparse, untimed): find the loops where the ejection
-    // machinery actually runs.
-    let mut probe_ws = EngineWorkspace::new();
-    let mut kept: Vec<&lsms_front::CompiledLoop> = Vec::new();
-    for l in &loops {
-        let Ok(problem) = SchedProblem::new(&l.body, &machine) else {
-            continue;
-        };
-        report.probed += 1;
-        let (result, _) = scheduler.run_in(&problem, &MinDistCache::new(), None, &mut probe_ws);
-        if let Ok(s) = result {
-            if s.stats.ejected_ops > 0 {
-                report.ejections += s.stats.ejected_ops;
-                kept.push(l);
-            }
-        }
-    }
-    report.kept = kept.len();
-
-    // Timed arms. Dense first so the sparse arm cannot borrow its warmed
-    // caches unfairly — both arms still re-lower and re-schedule from
-    // scratch per loop.
-    let run_arm = |mode: BoundsMode| -> (f64, u64, Vec<(u32, Vec<i64>)>) {
-        let mut ws = EngineWorkspace::new();
-        ws.set_bounds_mode(mode);
-        let mut cells = 0u64;
-        let mut schedules = Vec::with_capacity(kept.len());
-        let started = Instant::now();
-        for l in &kept {
-            let problem = SchedProblem::new(&l.body, &machine).expect("probed already");
-            let (result, _) = scheduler.run_in(&problem, &MinDistCache::new(), None, &mut ws);
-            let s = result.expect("probed loop schedules");
-            cells += s.stats.bounds_cells_touched;
-            schedules.push((s.ii, s.times));
-        }
-        let elapsed = started.elapsed().as_secs_f64() * 1e3;
-        (elapsed, cells, schedules)
-    };
-    let (dense_ms, dense_cells, dense_schedules) = run_arm(BoundsMode::DenseReference);
-    let (sparse_ms, sparse_cells, sparse_schedules) = run_arm(BoundsMode::Sparse);
-    assert_eq!(
-        dense_schedules, sparse_schedules,
-        "sparse bounds propagation changed a schedule"
-    );
-    report.dense_ms = dense_ms;
-    report.sparse_ms = sparse_ms;
-    report.dense_cells = dense_cells;
-    report.sparse_cells = sparse_cells;
-    report
-}
-
 /// Sums II over records using achieved-or-last-attempted (Table 4's
 /// failure convention).
 pub fn class_line(

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use lsms_codegen::{KernelCode, MveKernel};
 use lsms_front::{analyze, lex, lower_loop, parse, CompiledLoop, CompiledUnit, LoopDef};
-use lsms_ir::{LoopBody, RegClass};
+use lsms_ir::{Fingerprint, LoopBody, RegClass};
 use lsms_machine::Machine;
 use lsms_regalloc::{allocate_rotating, RotatingAllocation, Strategy};
 use lsms_sched::pressure::{gpr_count, measure_cached, min_avg_cached};
@@ -590,6 +590,9 @@ impl CompileSession {
             straight_line,
         );
         if let Some(hit) = self.sched_cache.get(key) {
+            if let Ok(s) = &hit.result {
+                debug_validate_cached(problem, s, key, "memo");
+            }
             self.record(
                 "sched-cache",
                 Instant::now(),
@@ -625,6 +628,7 @@ impl CompileSession {
                 };
                 decisions = le.decisions.clone();
                 warm_hit = 1;
+                debug_validate_cached(problem, s, key, "warm-start ledger");
             }
         }
         self.sched_cache.insert(
@@ -718,8 +722,6 @@ impl CompileSession {
                 ("hits", stats.hits),
                 ("misses", stats.misses),
                 ("fw_computes", stats.fw_computes),
-                ("parametric_builds", stats.parametric_builds),
-                ("materialized", stats.materializations),
             ],
         );
     }
@@ -1011,6 +1013,22 @@ impl CompileSession {
     }
 }
 
+/// Debug builds re-check every schedule a cache tier hands back with
+/// the independent validator, so a fingerprint collision or a stale
+/// ledger line cannot replay a schedule that is invalid for `problem`.
+fn debug_validate_cached(
+    problem: &SchedProblem<'_>,
+    schedule: &Schedule,
+    key: Fingerprint,
+    tier: &str,
+) {
+    if cfg!(debug_assertions) {
+        if let Err(e) = validate(problem, schedule) {
+            panic!("{tier} hit for schedule key {key} is invalid for its problem: {e}");
+        }
+    }
+}
+
 fn outcome_of(
     result: Result<Schedule, lsms_sched::SchedFailure>,
     problem: &SchedProblem<'_>,
@@ -1032,5 +1050,50 @@ fn outcome_of(
             stats: failure.stats,
             degraded,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lsms_machine::huff_machine;
+
+    /// A memoized schedule that does not fit the problem it is keyed
+    /// under must never be replayed: debug builds panic on the hit.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "memo hit for schedule key")]
+    fn invalid_memo_hit_panics_in_debug_builds() {
+        let machine = huff_machine();
+        let session = CompileSession::with_machine(machine.clone());
+        let unit = session
+            .compile_source(
+                "loop daxpy(i = 1..n) { real x[], y[]; param real a;
+                 y[i] = y[i] + a * x[i]; }",
+            )
+            .expect("compiles");
+        let compiled = &unit.loops[0];
+        let problem = SchedProblem::new(&compiled.body, &machine).expect("buildable");
+        let mut schedule = lsms_sched::SlackScheduler::new()
+            .run(&problem)
+            .expect("schedules");
+        // Every op in one cycle breaks the load → fadd → store latencies.
+        schedule.times.iter_mut().for_each(|t| *t = 0);
+        assert!(validate(&problem, &schedule).is_err());
+        let key = lsms_sched::schedule_key(
+            lsms_sched::problem_fingerprint(&compiled.body, &machine),
+            "slack",
+            &[],
+            false,
+        );
+        session.sched_cache.insert(
+            key,
+            CachedRun {
+                backend: "slack".into(),
+                result: Ok(schedule),
+                decisions: DecisionStats::default(),
+            },
+        );
+        let _ = session.evaluate_variants(compiled, false);
     }
 }

@@ -1,17 +1,15 @@
 //! Absolute lower bounds on II (§3.1): `ResMII`, `RecMII`, and `MII`.
 //!
-//! `RecMII` is computed two independent ways, cross-checked by tests:
-//!
-//! 1. **Circuit enumeration** — scan every elementary recurrence circuit
-//!    (Johnson's algorithm; the paper cites Tiernan) and take
-//!    `max ⌈L / Ω⌉` over circuits with total latency `L` and total
-//!    iteration distance `Ω`. "Although a graph can contain exponentially
-//!    many elementary circuits, most loop bodies have very few" — so a
-//!    circuit-count cap guards against the exponential case.
-//! 2. **Minimum cost-to-time ratio** (Lawler) — the smallest `II` for which
-//!    no circuit has positive weight under arc weights `latency − ω·II`,
-//!    found by binary search with a Bellman–Ford positive-cycle test; valid
-//!    because circuit weights are non-increasing in `II`.
+//! `RecMII` is `max ⌈L / Ω⌉` over elementary recurrence circuits with total
+//! latency `L` and total iteration distance `Ω`. The paper gives two ways
+//! to compute it: enumerating the circuits (it cites Tiernan), or the
+//! minimum cost-to-time ratio (Lawler). Enumeration is exponential in the
+//! worst case, so the crate ships only the polynomial min-ratio method —
+//! the smallest `II` for which no circuit has positive weight under arc
+//! weights `latency − ω·II`, found by binary search with a Bellman–Ford
+//! positive-cycle test; valid because circuit weights are non-increasing
+//! in `II`. Johnson's enumeration survives as the oracle in the
+//! property tests.
 
 use lsms_ir::{tarjan_scc, LoopBody};
 use lsms_machine::{critical_classes, Machine};
@@ -27,60 +25,14 @@ pub fn mii(problem: &SchedProblem<'_>) -> u32 {
     problem.mii()
 }
 
-/// The recurrence-circuit bound on II, by elementary-circuit enumeration
-/// with a fallback to the min-ratio method if the circuit count explodes.
+/// The recurrence-circuit bound on II by the minimum cost-to-time-ratio
+/// method (§3.1, citing Lawler): binary search for the smallest II at which
+/// Bellman–Ford finds no positive cycle under weights `latency − ω·II`.
 ///
-/// Returns `None` when some circuit has `Ω = 0` but positive latency: no
-/// initiation interval can satisfy it (the loop body is malformed).
+/// Returns `None` when some circuit has `Ω = 0` but positive latency: its
+/// weight stays positive at every II, so no initiation interval can
+/// satisfy it (the loop body is malformed).
 pub fn rec_mii(problem: &SchedProblem<'_>) -> Option<u32> {
-    const CIRCUIT_CAP: usize = 200_000;
-    match rec_mii_by_enumeration(problem, CIRCUIT_CAP) {
-        Ok(result) => result,
-        Err(CircuitCapExceeded) => rec_mii_min_ratio(problem),
-    }
-}
-
-/// Error from [`rec_mii_by_enumeration`]: the graph had more elementary
-/// circuits than the requested cap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CircuitCapExceeded;
-
-/// `RecMII` by scanning every elementary circuit (§3.1). Inner `None`
-/// signals an unsatisfiable zero-ω circuit.
-///
-/// # Errors
-///
-/// Returns [`CircuitCapExceeded`] if more than `cap` circuits exist.
-pub fn rec_mii_by_enumeration(
-    problem: &SchedProblem<'_>,
-    cap: usize,
-) -> Result<Option<u32>, CircuitCapExceeded> {
-    let mut best: u32 = 1;
-    let mut infeasible = false;
-    let mut count = 0usize;
-    enumerate_circuits(problem, &mut |latency, omega| {
-        count += 1;
-        if omega == 0 {
-            if latency > 0 {
-                infeasible = true;
-            }
-        } else {
-            let bound = (latency.max(0) as u64).div_ceil(u64::from(omega));
-            best = best.max(bound as u32);
-        }
-        count <= cap
-    });
-    if count > cap {
-        return Err(CircuitCapExceeded);
-    }
-    Ok(if infeasible { None } else { Some(best) })
-}
-
-/// `RecMII` by the minimum cost-to-time-ratio method (§3.1, citing
-/// Lawler): binary search for the smallest II at which Bellman–Ford finds
-/// no positive cycle under weights `latency − ω·II`. Returns `None` for a
-/// positive-latency zero-ω circuit, which stays positive at every II.
-pub fn rec_mii_min_ratio(problem: &SchedProblem<'_>) -> Option<u32> {
     let n = problem.num_real_ops();
     if n == 0 {
         return Some(1);
@@ -152,107 +104,6 @@ pub fn critical_ops(machine: &Machine, body: &LoopBody, ii: u32) -> usize {
         .count()
 }
 
-/// Enumerates elementary circuits of the real-operation multigraph with
-/// Johnson's algorithm, invoking `emit(total_latency, total_omega)` per
-/// circuit. `emit` returns `false` to abort early. Parallel arcs are kept
-/// distinct, so two arcs between the same pair yield two circuits.
-fn enumerate_circuits(problem: &SchedProblem<'_>, emit: &mut dyn FnMut(i64, u32) -> bool) {
-    let n = problem.num_real_ops();
-    // Self-arcs are elementary circuits of length one; Johnson's main loop
-    // handles only length >= 2.
-    for arc in problem.arcs() {
-        if arc.from == arc.to && arc.from < n && !emit(arc.latency, arc.omega) {
-            return;
-        }
-    }
-    // adj[v] = (w, latency, omega) for each non-self arc v -> w.
-    let adj: Vec<Vec<(usize, i64, u32)>> = (0..n)
-        .map(|v| {
-            problem
-                .arcs_from(v)
-                .filter(|a| a.to < n && a.to != v)
-                .map(|a| (a.to, a.latency, a.omega))
-                .collect()
-        })
-        .collect();
-
-    struct J<'e> {
-        adj: Vec<Vec<(usize, i64, u32)>>,
-        blocked: Vec<bool>,
-        blist: Vec<Vec<usize>>,
-        root: usize,
-        emit: &'e mut dyn FnMut(i64, u32) -> bool,
-        aborted: bool,
-    }
-    impl J<'_> {
-        fn unblock(&mut self, v: usize) {
-            self.blocked[v] = false;
-            let list = std::mem::take(&mut self.blist[v]);
-            for w in list {
-                if self.blocked[w] {
-                    self.unblock(w);
-                }
-            }
-        }
-        /// DFS from `v` with accumulated (latency, omega); returns true if
-        /// any circuit was closed below `v`.
-        fn circuit(&mut self, v: usize, lat: i64, omega: u32) -> bool {
-            if self.aborted {
-                return false;
-            }
-            let mut found = false;
-            self.blocked[v] = true;
-            for i in 0..self.adj[v].len() {
-                let (w, l, o) = self.adj[v][i];
-                if w < self.root {
-                    continue; // Johnson: only nodes >= current root
-                }
-                if w == self.root {
-                    if !(self.emit)(lat + l, omega + o) {
-                        self.aborted = true;
-                        return found;
-                    }
-                    found = true;
-                } else if !self.blocked[w] && self.circuit(w, lat + l, omega + o) {
-                    found = true;
-                }
-                if self.aborted {
-                    return found;
-                }
-            }
-            if found {
-                self.unblock(v);
-            } else {
-                for i in 0..self.adj[v].len() {
-                    let (w, _, _) = self.adj[v][i];
-                    if w >= self.root && !self.blist[w].contains(&v) {
-                        self.blist[w].push(v);
-                    }
-                }
-            }
-            found
-        }
-    }
-
-    let mut j = J {
-        adj,
-        blocked: vec![false; n],
-        blist: vec![Vec::new(); n],
-        root: 0,
-        emit,
-        aborted: false,
-    };
-    for root in 0..n {
-        j.root = root;
-        j.blocked.iter_mut().for_each(|b| *b = false);
-        j.blist.iter_mut().for_each(|l| l.clear());
-        j.circuit(root, 0, 0);
-        if j.aborted {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,12 +136,10 @@ mod tests {
         let body = ring(5, 2);
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 3);
-        assert_eq!(rec_mii_min_ratio(&p), Some(3));
         // omega 1 -> 5.
         let body = ring(5, 1);
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 5);
-        assert_eq!(rec_mii_min_ratio(&p), Some(5));
     }
 
     #[test]
@@ -304,7 +153,6 @@ mod tests {
         let body = b.finish();
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 2);
-        assert_eq!(rec_mii_min_ratio(&p), Some(2));
     }
 
     #[test]
@@ -320,7 +168,6 @@ mod tests {
         let body = b.finish();
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 1);
-        assert_eq!(rec_mii_min_ratio(&p), Some(1));
     }
 
     #[test]
@@ -344,7 +191,6 @@ mod tests {
         // Circuit A: o0->o1 (lat 2, w 0) + o1->o0 (lat 2, w 1): 4/1 = 4.
         // Circuit B: o1->o2 (lat 2, w 0) + o2->o1 (lat 2, w 3): ceil(4/3)=2.
         assert_eq!(p.rec_mii(), 4);
-        assert_eq!(rec_mii_min_ratio(&p), Some(4));
     }
 
     #[test]
@@ -361,16 +207,34 @@ mod tests {
         let body = b.finish();
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 4);
-        assert_eq!(rec_mii_min_ratio(&p), Some(4));
     }
 
     #[test]
-    fn circuit_cap_falls_back_cleanly() {
+    fn complete_digraph_rec_mii_is_the_op_latency() {
+        // Ten fmuls (latency 2), an ω = 1 arc between every ordered pair:
+        // Σ C(10,k)·(k−1)! = 1 112 073 elementary circuits, each of k ops
+        // with L = 2k and Ω = k, so RecMII = 2 by hand — the input class
+        // circuit enumeration could not finish in reasonable time.
         let m = huff_machine();
-        let body = ring(6, 2);
+        let mut b = LoopBuilder::new("complete");
+        let f = b.invariant(ValueType::Float, "f");
+        let ops: Vec<_> = (0..10)
+            .map(|_| {
+                let v = b.new_value(ValueType::Float);
+                b.op(OpKind::FMul, &[f, f], Some(v))
+            })
+            .collect();
+        for &from in &ops {
+            for &to in &ops {
+                if from != to {
+                    b.flow_dep(from, to, 1);
+                }
+            }
+        }
+        let body = b.finish();
         let p = SchedProblem::new(&body, &m).unwrap();
-        assert_eq!(rec_mii_by_enumeration(&p, 0), Err(CircuitCapExceeded));
-        assert_eq!(rec_mii(&p), rec_mii_min_ratio(&p));
+        assert_eq!(rec_mii(&p), Some(2));
+        assert_eq!(p.rec_mii(), 2);
     }
 
     #[test]

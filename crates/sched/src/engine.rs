@@ -11,12 +11,19 @@
 //! 4. place it and update the modulo resource table;
 //! 5. update the Estart/Lstart bounds of the unplaced operations;
 //! 6. if the iteration budget is exhausted, restart at a larger II.
+//!
+//! Bounds maintenance (steps 3 and 5) walks the
+//! [`Reachability`](crate::mindist::Reachability) lists of non-`NO_PATH`
+//! MinDist cells. In this crate's own test builds every bounds routine
+//! also runs a dense reference — probing whole matrix rows — on a shadow
+//! copy of the bounds and asserts the two agree entry for entry.
 
 use lsms_ir::OpId;
 use lsms_machine::{critical_classes, Mrt, UnitAssignment};
 
 use std::sync::Arc;
 
+#[cfg(test)]
 use crate::mindist::NO_PATH;
 use crate::{DecisionStats, MinDist, MinDistCache, SchedProblem, SchedStats, Schedule};
 
@@ -27,28 +34,6 @@ pub enum Direction {
     Early,
     /// Scan from Lstart downward: place as late as possible.
     Late,
-}
-
-/// How the engine maintains the Estart/Lstart bounds and sweeps for
-/// dependence violations after a forced placement.
-///
-/// The two implementations are *bit-identical in outcome* — same bounds,
-/// same ejection sets, same schedules — and differ only in cost: sparse
-/// iterates the [`Reachability`](crate::mindist::Reachability) lists of
-/// non-`NO_PATH` cells, the dense reference probes whole matrix rows.
-/// The dense path is retained as a test oracle and for the dense-vs-sparse
-/// microbenchmark; production runs use the default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BoundsMode {
-    /// Reachability-indexed propagation (the production path).
-    #[default]
-    Sparse,
-    /// The retained dense reference implementation.
-    DenseReference,
-    /// Run sparse on the live state *and* dense on a shadow copy after
-    /// every bounds routine, panicking on any divergence. Test-only by
-    /// construction (it is the slowest of the three).
-    CrossCheck,
 }
 
 /// A scheduler personality plugged into the framework: how to pick the
@@ -78,7 +63,7 @@ pub(crate) trait Heuristic {
 /// attempt, so a warm-started run produces schedules byte-identical to a
 /// cold-started one; what escalation no longer pays is the dozen fresh
 /// allocations per attempt (the MinDist matrix itself is the
-/// [`MinDistCache`]'s two-tier job).
+/// [`MinDistCache`]'s job).
 ///
 /// The workspace is public (with opaque contents) so that callers outside
 /// this crate — notably [`ModuloScheduler`](crate::ModuloScheduler)
@@ -101,15 +86,16 @@ pub struct EngineWorkspace {
     conflict_buf: Vec<OpId>,
     /// Scratch for the forcing path's dependence-violation sweep.
     eject_buf: Vec<usize>,
-    /// Shadow bound buffers for [`BoundsMode::CrossCheck`].
+    /// Shadow bound buffers for the test-build dense cross-check.
+    #[cfg(test)]
     check_estart: Vec<i64>,
+    #[cfg(test)]
     check_lstart: Vec<i64>,
     /// Scratch for the per-attempt unit-assignment ordering.
     order: Vec<usize>,
     /// Scratch for the per-class round-robin cursors.
     next_instance: Vec<u32>,
     mrt: Option<Mrt>,
-    bounds_mode: BoundsMode,
 }
 
 impl EngineWorkspace {
@@ -117,20 +103,6 @@ impl EngineWorkspace {
     /// by every subsequent run that borrows it.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the bounds-maintenance implementation for every run drawing
-    /// from this workspace. The default ([`BoundsMode::Sparse`]) is the
-    /// production path; the other modes exist for equivalence tests and
-    /// the dense-vs-sparse microbenchmark — all three produce
-    /// byte-identical schedules.
-    pub fn set_bounds_mode(&mut self, mode: BoundsMode) {
-        self.bounds_mode = mode;
-    }
-
-    /// The bounds-maintenance mode runs from this workspace use.
-    pub fn bounds_mode(&self) -> BoundsMode {
-        self.bounds_mode
     }
 }
 
@@ -178,8 +150,6 @@ pub(crate) struct EngineState<'p, 'a> {
     ready: Vec<u32>,
     /// Position of each node in `ready`, or [`PLACED`].
     ready_pos: Vec<u32>,
-    /// Bounds-maintenance implementation (see [`BoundsMode`]).
-    bounds_mode: BoundsMode,
     /// MinDist cells read while maintaining bounds and sweeping for
     /// dependence violations this attempt (flushed into
     /// [`SchedStats::bounds_cells_touched`]).
@@ -189,8 +159,10 @@ pub(crate) struct EngineState<'p, 'a> {
     conflict_buf: Vec<OpId>,
     /// Scratch for the forcing path's dependence-violation sweep.
     eject_buf: Vec<usize>,
-    /// Shadow bound buffers for [`BoundsMode::CrossCheck`].
+    /// Shadow bound buffers for the test-build dense cross-check.
+    #[cfg(test)]
     check_estart: Vec<i64>,
+    #[cfg(test)]
     check_lstart: Vec<i64>,
 }
 
@@ -352,11 +324,12 @@ impl<'p, 'a> EngineState<'p, 'a> {
             unplaced_count,
             ready,
             ready_pos,
-            bounds_mode: ws.bounds_mode,
             cells_touched: 0,
             conflict_buf,
             eject_buf,
+            #[cfg(test)]
             check_estart: std::mem::take(&mut ws.check_estart),
+            #[cfg(test)]
             check_lstart: std::mem::take(&mut ws.check_lstart),
         })
     }
@@ -375,8 +348,11 @@ impl<'p, 'a> EngineState<'p, 'a> {
         ws.ready_pos = self.ready_pos;
         ws.conflict_buf = self.conflict_buf;
         ws.eject_buf = self.eject_buf;
-        ws.check_estart = self.check_estart;
-        ws.check_lstart = self.check_lstart;
+        #[cfg(test)]
+        {
+            ws.check_estart = self.check_estart;
+            ws.check_lstart = self.check_lstart;
+        }
         ws.mrt = Some(self.mrt);
     }
 
@@ -478,29 +454,15 @@ impl<'p, 'a> EngineState<'p, 'a> {
 
     /// §4.1 incremental update after placing `node` at `t`: tighten the
     /// bounds of every unplaced node.
+    ///
+    /// Only the nodes sharing a path with `node` can have their bounds
+    /// moved by its placement, and the reachability lists carry the
+    /// distances, so the whole update reads exactly the reachable cells.
     fn tighten_bounds_after(&mut self, node: usize, t: i64) {
-        match self.bounds_mode {
-            BoundsMode::Sparse => self.sparse_tighten_after(node, t),
-            BoundsMode::DenseReference => {
-                let (mut estart, mut lstart) = self.take_bounds();
-                self.cells_touched += self.dense_tighten_after(node, t, &mut estart, &mut lstart);
-                self.put_bounds(estart, lstart);
-            }
-            BoundsMode::CrossCheck => {
-                let (mut estart, mut lstart) = self.shadow_bounds();
-                self.sparse_tighten_after(node, t);
-                self.dense_tighten_after(node, t, &mut estart, &mut lstart);
-                self.assert_shadow_matches("tighten_bounds_after", estart, lstart);
-            }
-        }
-        self.maybe_grow_lstart_stop();
-    }
-
-    /// Sparse §4.1 tightening: only the nodes sharing a path with `node`
-    /// can have their bounds moved by its placement, and the reachability
-    /// lists carry the distances, so the whole update reads exactly the
-    /// reachable cells.
-    fn sparse_tighten_after(&mut self, node: usize, t: i64) {
+        #[cfg(test)]
+        let dense = self.dense_reference(|st, estart, lstart| {
+            st.dense_tighten_after(node, t, estart, lstart);
+        });
         let md = Arc::clone(&self.md);
         let reach = md.reach();
         for &(u, fwd) in reach.succs(node) {
@@ -516,24 +478,19 @@ impl<'p, 'a> EngineState<'p, 'a> {
             }
         }
         self.cells_touched += (reach.succs(node).len() + reach.preds(node).len()) as u64;
+        #[cfg(test)]
+        self.assert_matches_dense("tighten_bounds_after", dense);
+        self.maybe_grow_lstart_stop();
     }
 
-    /// Dense §4.1 tightening (the reference implementation): probe both
-    /// cells of every unplaced node. Returns cells read.
-    fn dense_tighten_after(
-        &self,
-        node: usize,
-        t: i64,
-        estart: &mut [i64],
-        lstart: &mut [i64],
-    ) -> u64 {
-        let n = self.problem.num_nodes();
-        let mut touched = 0u64;
-        for u in 0..n {
+    /// Dense §4.1 tightening (the test-build reference): probe both cells
+    /// of every unplaced node.
+    #[cfg(test)]
+    fn dense_tighten_after(&self, node: usize, t: i64, estart: &mut [i64], lstart: &mut [i64]) {
+        for u in 0..self.problem.num_nodes() {
             if !self.unplaced[u] {
                 continue;
             }
-            touched += 2;
             let fwd = self.md.get(node, u);
             if fwd != NO_PATH {
                 estart[u] = estart[u].max(t + fwd);
@@ -543,34 +500,22 @@ impl<'p, 'a> EngineState<'p, 'a> {
                 lstart[u] = lstart[u].min(t - back);
             }
         }
-        touched
     }
 
     /// Full recomputation of the bounds of all unplaced nodes from the
     /// placed set, used after ejections (§4.4): the from-scratch Estart
     /// refresh, the shared Lstart refresh, then the §4.2 deadline check.
     fn recompute_bounds(&mut self) {
-        match self.bounds_mode {
-            BoundsMode::Sparse => self.sparse_refresh_estarts(),
-            BoundsMode::DenseReference => {
-                let (mut estart, lstart) = self.take_bounds();
-                self.cells_touched += self.dense_refresh_estarts(&mut estart);
-                self.put_bounds(estart, lstart);
-            }
-            BoundsMode::CrossCheck => {
-                let (mut estart, lstart) = self.shadow_bounds();
-                self.sparse_refresh_estarts();
-                self.dense_refresh_estarts(&mut estart);
-                self.assert_shadow_matches("recompute_bounds/estart", estart, lstart);
-            }
-        }
+        self.refresh_estarts();
         self.refresh_lstarts();
         self.maybe_grow_lstart_stop();
     }
 
     /// From-scratch Estart for every unplaced node: `MinDist(Start, u)`
     /// floored at 0, raised by every placed node that reaches `u`.
-    fn sparse_refresh_estarts(&mut self) {
+    fn refresh_estarts(&mut self) {
+        #[cfg(test)]
+        let dense = self.dense_reference(|st, estart, _| st.dense_refresh_estarts(estart));
         let md = Arc::clone(&self.md);
         let start = self.problem.start();
         for i in 0..self.ready.len() {
@@ -590,22 +535,22 @@ impl<'p, 'a> EngineState<'p, 'a> {
             }
             self.cells_touched += reach.succs(z).len() as u64;
         }
+        #[cfg(test)]
+        self.assert_matches_dense("refresh_estarts", dense);
     }
 
-    /// Dense from-scratch Estart refresh (reference). Returns cells read.
-    fn dense_refresh_estarts(&self, estart: &mut [i64]) -> u64 {
+    /// Dense from-scratch Estart refresh (test-build reference).
+    #[cfg(test)]
+    fn dense_refresh_estarts(&self, estart: &mut [i64]) {
         let n = self.problem.num_nodes();
         let start = self.problem.start();
-        let mut touched = 0u64;
         for (u, slot) in estart.iter_mut().enumerate() {
             if !self.unplaced[u] {
                 continue;
             }
             let mut e = self.md.get(start, u).max(0);
-            touched += 1;
             for z in 0..n {
                 let Some(t) = self.time[z] else { continue };
-                touched += 1;
                 let fwd = self.md.get(z, u);
                 if fwd != NO_PATH {
                     e = e.max(t + fwd);
@@ -613,7 +558,6 @@ impl<'p, 'a> EngineState<'p, 'a> {
             }
             *slot = e;
         }
-        touched
     }
 
     /// From-scratch Lstart refresh for every unplaced node — the single
@@ -623,23 +567,8 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// `Lstart(u) = min(Lstart(Stop) − MinDist(u, Stop),
     /// min over placed z of t_z − MinDist(u, z))`.
     fn refresh_lstarts(&mut self) {
-        match self.bounds_mode {
-            BoundsMode::Sparse => self.sparse_refresh_lstarts(),
-            BoundsMode::DenseReference => {
-                let (estart, mut lstart) = self.take_bounds();
-                self.cells_touched += self.dense_refresh_lstarts(&mut lstart);
-                self.put_bounds(estart, lstart);
-            }
-            BoundsMode::CrossCheck => {
-                let (estart, mut lstart) = self.shadow_bounds();
-                self.sparse_refresh_lstarts();
-                self.dense_refresh_lstarts(&mut lstart);
-                self.assert_shadow_matches("refresh_lstarts", estart, lstart);
-            }
-        }
-    }
-
-    fn sparse_refresh_lstarts(&mut self) {
+        #[cfg(test)]
+        let dense = self.dense_reference(|st, _, lstart| st.dense_refresh_lstarts(lstart));
         let md = Arc::clone(&self.md);
         let stop = self.problem.stop();
         for i in 0..self.ready.len() {
@@ -659,22 +588,22 @@ impl<'p, 'a> EngineState<'p, 'a> {
             }
             self.cells_touched += reach.preds(z).len() as u64;
         }
+        #[cfg(test)]
+        self.assert_matches_dense("refresh_lstarts", dense);
     }
 
-    /// Dense from-scratch Lstart refresh (reference). Returns cells read.
-    fn dense_refresh_lstarts(&self, lstart: &mut [i64]) -> u64 {
+    /// Dense from-scratch Lstart refresh (test-build reference).
+    #[cfg(test)]
+    fn dense_refresh_lstarts(&self, lstart: &mut [i64]) {
         let n = self.problem.num_nodes();
         let stop = self.problem.stop();
-        let mut touched = 0u64;
         for (u, slot) in lstart.iter_mut().enumerate() {
             if !self.unplaced[u] {
                 continue;
             }
             let mut l = self.lstart_stop - self.md.get(u, stop);
-            touched += 1;
             for z in 0..n {
                 let Some(t) = self.time[z] else { continue };
-                touched += 1;
                 let back = self.md.get(u, z);
                 if back != NO_PATH {
                     l = l.min(t - back);
@@ -682,7 +611,6 @@ impl<'p, 'a> EngineState<'p, 'a> {
             }
             *slot = l;
         }
-        touched
     }
 
     /// §4.2: `Lstart(Stop)` is reset only when `Estart(Stop)` is pushed out
@@ -707,37 +635,30 @@ impl<'p, 'a> EngineState<'p, 'a> {
         }
     }
 
-    /// Moves the live bound vectors out for a dense-reference update (the
-    /// dense routines take `&self` plus explicit buffers, sidestepping the
-    /// aliasing between `self.md` and `self.estart`).
-    fn take_bounds(&mut self) -> (Vec<i64>, Vec<i64>) {
-        (
-            std::mem::take(&mut self.estart),
-            std::mem::take(&mut self.lstart),
-        )
-    }
-
-    fn put_bounds(&mut self, estart: Vec<i64>, lstart: Vec<i64>) {
-        self.estart = estart;
-        self.lstart = lstart;
-    }
-
-    /// Copies the pre-update bounds into the recycled shadow buffers, for
-    /// the dense reference to update in parallel with the sparse path.
-    fn shadow_bounds(&mut self) -> (Vec<i64>, Vec<i64>) {
+    /// Runs a dense reference routine on a shadow copy of the bounds taken
+    /// before the sparse routine updates the live ones. The dense routines
+    /// read only the placement state, which the bounds routines never
+    /// change, so running first sees the same inputs.
+    #[cfg(test)]
+    fn dense_reference(
+        &mut self,
+        dense: impl FnOnce(&Self, &mut [i64], &mut [i64]),
+    ) -> (Vec<i64>, Vec<i64>) {
         let mut estart = std::mem::take(&mut self.check_estart);
         estart.clear();
         estart.extend_from_slice(&self.estart);
         let mut lstart = std::mem::take(&mut self.check_lstart);
         lstart.clear();
         lstart.extend_from_slice(&self.lstart);
+        dense(self, &mut estart, &mut lstart);
         (estart, lstart)
     }
 
     /// Cross-check assertion: after a bounds routine, the sparse result on
     /// the live state must equal the dense result on the shadow copy,
     /// entry for entry.
-    fn assert_shadow_matches(&mut self, routine: &str, estart: Vec<i64>, lstart: Vec<i64>) {
+    #[cfg(test)]
+    fn assert_matches_dense(&mut self, routine: &str, (estart, lstart): (Vec<i64>, Vec<i64>)) {
         assert_eq!(self.estart, estart, "{routine}: Estart diverged");
         assert_eq!(self.lstart, lstart, "{routine}: Lstart diverged");
         self.check_estart = estart;
@@ -747,33 +668,13 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// Collects (into `self.eject_buf`, ascending and deduplicated) every
     /// placed node whose dependence constraints a forced placement of `x`
     /// at `t` violates. `MinDist` reflects the transitive closure, so this
-    /// reaches beyond immediate successors (§4.4). Sparse mode walks `x`'s
-    /// reachability lists; the dense reference scans every node; both
-    /// produce the same ascending victim order, so ejection traces are
-    /// identical across modes.
+    /// reaches beyond immediate successors (§4.4). The walk covers `x`'s
+    /// reachability lists; in test builds the dense reference scans every
+    /// node and must produce the same ascending victim list.
     fn collect_dependence_victims(&mut self, x: usize, t: i64) {
-        let start = self.problem.start();
         let mut victims = std::mem::take(&mut self.eject_buf);
         victims.clear();
         let md = Arc::clone(&self.md);
-        match self.bounds_mode {
-            BoundsMode::Sparse => {
-                self.sparse_victims(&md, x, t, &mut victims);
-            }
-            BoundsMode::DenseReference => {
-                self.cells_touched += self.dense_victims(&md, x, t, start, &mut victims);
-            }
-            BoundsMode::CrossCheck => {
-                self.sparse_victims(&md, x, t, &mut victims);
-                let mut dense = Vec::new();
-                self.dense_victims(&md, x, t, start, &mut dense);
-                assert_eq!(victims, dense, "dependence-violation sweep diverged");
-            }
-        }
-        self.eject_buf = victims;
-    }
-
-    fn sparse_victims(&mut self, md: &MinDist, x: usize, t: i64, victims: &mut Vec<usize>) {
         let start = self.problem.start();
         let reach = md.reach();
         for &(z, fwd) in reach.succs(x) {
@@ -799,36 +700,34 @@ impl<'p, 'a> EngineState<'p, 'a> {
             }
         }
         self.cells_touched += (reach.succs(x).len() + reach.preds(x).len()) as u64;
-        // A node violated in both directions appears in both lists; the
-        // dense scan visits each node once in ascending order — match it.
+        // A node violated in both directions appears in both lists; keep
+        // each once, in ascending order.
         victims.sort_unstable();
         victims.dedup();
+        #[cfg(test)]
+        assert_eq!(
+            victims,
+            self.dense_victims(x, t),
+            "dependence-violation sweep diverged"
+        );
+        self.eject_buf = victims;
     }
 
-    /// Dense violation sweep (reference). Returns cells read.
-    fn dense_victims(
-        &self,
-        md: &MinDist,
-        x: usize,
-        t: i64,
-        start: usize,
-        victims: &mut Vec<usize>,
-    ) -> u64 {
-        let n = self.problem.num_nodes();
-        let mut touched = 0u64;
-        for z in 0..n {
-            if z == x || z == start {
-                continue;
-            }
-            let Some(tz) = self.time[z] else { continue };
-            touched += 2;
-            let fwd = md.get(x, z);
-            let back = md.get(z, x);
-            if (fwd != NO_PATH && t + fwd > tz) || (back != NO_PATH && tz + back > t) {
-                victims.push(z);
-            }
-        }
-        touched
+    /// Dense violation sweep (test-build reference): every placed node in
+    /// ascending order.
+    #[cfg(test)]
+    fn dense_victims(&self, x: usize, t: i64) -> Vec<usize> {
+        let start = self.problem.start();
+        (0..self.problem.num_nodes())
+            .filter(|&z| z != x && z != start)
+            .filter(|&z| {
+                self.time[z].is_some_and(|tz| {
+                    let fwd = self.md.get(x, z);
+                    let back = self.md.get(z, x);
+                    (fwd != NO_PATH && t + fwd > tz) || (back != NO_PATH && tz + back > t)
+                })
+            })
+            .collect()
     }
 }
 
@@ -1120,10 +1019,8 @@ pub(crate) fn run_framework_from(
                 };
                 let next_ii = (ii + step).min(max_ii);
                 // `warm` reports whether the next attempt reuses this
-                // one's allocations; `parametric` whether MinDist at
-                // next_ii will be an envelope evaluation rather than a
-                // fresh Floyd–Warshall. Gated so the untraced hot path
-                // does not take the cache lock just to build arguments.
+                // one's allocations. Gated so the untraced hot path does
+                // not build arguments.
                 if lsms_trace::enabled() {
                     lsms_trace::instant(
                         "sched.ii_escalate",
@@ -1131,7 +1028,6 @@ pub(crate) fn run_framework_from(
                             ("from", i64::from(ii)),
                             ("to", i64::from(next_ii)),
                             ("warm", i64::from(ws.mrt.is_some())),
-                            ("parametric", i64::from(cache.has_parametric())),
                         ],
                     );
                     lsms_trace::add("sched", "ii_escalations", 1);
@@ -1288,49 +1184,26 @@ mod tests {
         assert!(st.unplaced().any(|x| x == 0));
     }
 
-    /// Drives the same placement/ejection sequence through a CrossCheck
-    /// state (every bounds routine self-asserts sparse == dense) and a
-    /// DenseReference state, then compares all three bound vectors.
+    /// Drives a placement/ejection sequence through one state: every
+    /// bounds routine asserts its sparse walk against the dense reference.
     #[test]
     fn sparse_bounds_match_the_dense_reference() {
         let body = chain_body();
         let machine = huff_machine();
         let problem = SchedProblem::new(&body, &machine).unwrap();
         let cache = MinDistCache::new();
-        let mut states: Vec<EngineState<'_, '_>> = [
-            BoundsMode::Sparse,
-            BoundsMode::DenseReference,
-            BoundsMode::CrossCheck,
-        ]
-        .into_iter()
-        .map(|mode| {
-            let mut ws = EngineWorkspace::new();
-            ws.set_bounds_mode(mode);
-            assert_eq!(ws.bounds_mode(), mode);
-            let ws = Box::leak(Box::new(ws));
-            EngineState::new_in(&problem, problem.mii(), false, &cache, ws).unwrap()
-        })
-        .collect();
-        for st in &mut states {
-            st.place(0, 0);
-            st.tighten_bounds_after(0, 0);
-            st.place(3, 1);
-            st.tighten_bounds_after(3, 1);
-            st.eject(0);
-            st.recompute_bounds();
-            st.collect_dependence_victims(1, 20);
-        }
-        let (sparse, rest) = states.split_first().unwrap();
-        for other in rest {
-            assert_eq!(sparse.estart, other.estart);
-            assert_eq!(sparse.lstart, other.lstart);
-            assert_eq!(sparse.lstart_stop, other.lstart_stop);
-            assert_eq!(sparse.eject_buf, other.eject_buf);
-        }
-        // Dense probing inspects strictly more cells than the sparse walk
-        // on this sparse chain problem.
-        assert!(states[1].cells_touched > states[0].cells_touched);
-        assert!(states[0].cells_touched > 0);
+        let mut st = EngineState::new(&problem, problem.mii(), false, &cache).unwrap();
+        st.place(0, 0);
+        st.tighten_bounds_after(0, 0);
+        st.place(3, 1);
+        st.tighten_bounds_after(3, 1);
+        st.eject(0);
+        st.recompute_bounds();
+        st.place(2, 0);
+        st.collect_dependence_victims(1, 20);
+        // The fadd forced at 20 must push the store (placed at 0) out.
+        assert_eq!(st.eject_buf, vec![2]);
+        assert!(st.cells_touched > 0);
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //! augmented with the `Start`/`Stop` pseudo-operations of §4.1. On top of
 //! the problem sit:
 //!
-//! * the absolute lower bounds of §3: [`res_mii`], [`rec_mii`] (computed
-//!   independently by elementary-circuit enumeration and by the minimum
-//!   cost-to-time-ratio method), and `MII = max(ResMII, RecMII)`;
+//! * the absolute lower bounds of §3: [`res_mii`], [`rec_mii`] (by the
+//!   minimum cost-to-time-ratio method), and `MII = max(ResMII, RecMII)`;
 //! * the [`MinDist`] relation — all-pairs longest paths with arc weight
-//!   `latency − ω·II` — and its parametric form [`ParametricMinDist`],
-//!   one envelope computation per problem serving every II of a sweep;
+//!   `latency − ω·II`, by Floyd–Warshall, shared per `(problem, II)`
+//!   through a [`MinDistCache`];
 //! * the [slack-scheduling framework](slack) (§4) with the bidirectional
 //!   lifetime heuristic (§5), and the [Cydrome baseline](cydrome) (§8);
 //! * schedule-independent and schedule-dependent register-pressure measures
@@ -61,17 +60,20 @@ pub mod slack;
 pub mod stats;
 pub mod svg;
 
+#[cfg(test)]
+mod engine_sparsity;
+
 pub use backend::{
     BackendCaps, BackendInfo, BackendRun, CydromeBackend, ModuloScheduler, SchedContext,
     SlackBackend,
 };
-pub use bounds::{mii, rec_mii, rec_mii_min_ratio, res_mii};
+pub use bounds::{mii, rec_mii, res_mii};
 pub use cydrome::CydromeScheduler;
-pub use engine::{BoundsMode, EngineWorkspace};
+pub use engine::EngineWorkspace;
 pub use fingerprint::{
     ii_reachable_by_escalation, problem_fingerprint, schedule_key, FINGERPRINT_SALT,
 };
-pub use mindist::{MinDist, MinDistCache, MinDistCacheStats, ParametricMinDist};
+pub use mindist::{MinDist, MinDistCache, MinDistCacheStats};
 pub use pressure::PressureReport;
 pub use problem::{Arc, ProblemError, SchedProblem};
 pub use schedule::{validate, Schedule, ScheduleError};

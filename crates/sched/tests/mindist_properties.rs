@@ -178,6 +178,10 @@ fn cached_mindist_matches_direct_computation() {
                 }
             }
         }
-        assert_eq!(cache.computed(), 4, "one Floyd–Warshall per distinct II");
+        assert_eq!(
+            cache.stats().misses,
+            4,
+            "one Floyd–Warshall per distinct II"
+        );
     }
 }
