@@ -1,6 +1,7 @@
 //! Correctness soak: random generated loops through the full pipeline —
-//! both code-generation schemes, several trip counts and direction
-//! policies — compared bit for bit against the reference interpreter.
+//! both code-generation schemes, several trip counts, the three slack
+//! direction policies and the Cydrome baseline — compared bit for bit
+//! against the reference interpreter.
 //!
 //! ```sh
 //! LSMS_SOAK_START=0 LSMS_SOAK_COUNT=2000 \
@@ -35,12 +36,13 @@ fn main() {
                 continue;
             }
         };
-        for (trip, policy) in [(1, "slack"), (7, "late"), (23, "early")] {
+        for (trip, backend) in [(1, "slack"), (7, "late"), (23, "early"), (11, "cydrome")] {
             // One session per configuration: full codegen (rotating and
-            // MVE kernels) plus the simulate-verify pass, which checks
-            // both kernels against the reference interpreter.
+            // MVE kernels) plus the simulate-verify pass, which executes
+            // both kernels the session built against the reference
+            // interpreter.
             let mut config = SessionConfig::new(machine.clone());
-            config.backend = BackendSelection::named(policy);
+            config.backend = BackendSelection::named(backend);
             config.codegen = true;
             config.mve = true;
             config.verify = Some(VerifySpec {
@@ -56,7 +58,7 @@ fn main() {
                 Err(e) => {
                     fails += 1;
                     if fails <= 8 {
-                        println!("FAIL seed {seed} trip {trip} {policy:?}: {e}");
+                        println!("FAIL seed {seed} trip {trip} {backend:?}: {e}");
                     }
                 }
             }

@@ -55,6 +55,29 @@ fn run_verifies_against_the_reference() {
 }
 
 #[test]
+fn run_verifies_the_cydrome_backend() {
+    // Simulate-verify executes whatever code the session built, so a
+    // non-slack backend verifies too — both code schemes with `--emit mve`.
+    let path = write_loop("lsmsc_daxpy_cydrome_run.loop", DAXPY);
+    let out = lsmsc()
+        .arg(&path)
+        .args(["--backend", "cydrome", "--run", "10", "--emit", "mve"])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("; MVE kernel:"), "{text}");
+    assert!(
+        text.contains("run: 10 iterations") && text.contains("verified against the reference"),
+        "{text}"
+    );
+}
+
+#[test]
 fn emit_variants_produce_their_formats() {
     let path = write_loop("lsmsc_daxpy_emit.loop", DAXPY);
     for (emit, marker) in [

@@ -2,12 +2,13 @@
 //!
 //! Every per-crate error enum — [`FrontError`], [`BodyError`],
 //! [`ProblemError`], [`SchedFailure`], [`ScheduleError`], [`AllocError`],
-//! [`CodegenError`], [`SimError`] — converts into one [`LsmsError`]
-//! carrying a stable error code, the [`Stage`] that produced it, and a
-//! source [`Span`] when the front end has one. Drivers render the error
-//! uniformly (`error[E0101]: 3:7: unexpected token`) and map the stage to
-//! a process exit code, so `lsmsc`'s callers can tell a parse error from
-//! a schedule failure from a simulation mismatch without scraping text.
+//! [`CodegenError`], [`SimError`], [`VerifyError`] — converts into one
+//! [`LsmsError`] carrying a stable error code, the [`Stage`] that produced
+//! it, and a source [`Span`] when the front end has one. Drivers render
+//! the error uniformly (`error[E0101]: 3:7: unexpected token`) and map the
+//! stage to a process exit code, so `lsmsc`'s callers can tell a parse
+//! error from a schedule failure from a simulation mismatch without
+//! scraping text.
 
 use std::fmt;
 
@@ -16,7 +17,7 @@ use lsms_front::{FrontError, Span};
 use lsms_ir::BodyError;
 use lsms_regalloc::AllocError;
 use lsms_sched::{ProblemError, SchedFailure, ScheduleError};
-use lsms_sim::SimError;
+use lsms_sim::{SimError, VerifyError};
 
 /// The pipeline stage a diagnostic originated from.
 ///
@@ -152,6 +153,8 @@ impl LsmsError {
     }
 
     /// An equivalence-verification mismatch or harness failure (`E0802`).
+    /// Simulator faults have their own code, `E0801` (see the
+    /// [`VerifyError`] conversion).
     pub fn verification(message: impl Into<String>) -> Self {
         Self::new(Stage::Simulate, "E0802", message)
     }
@@ -249,6 +252,21 @@ impl From<CodegenError> for LsmsError {
 impl From<SimError> for LsmsError {
     fn from(e: SimError) -> Self {
         Self::new(Stage::Simulate, "E0801", e.to_string())
+    }
+}
+
+impl From<VerifyError> for LsmsError {
+    /// A simulator fault keeps `E0801`; an array mismatch is `E0802`.
+    /// Failures of the MVE kernel carry the `mve: ` prefix either way.
+    fn from(e: VerifyError) -> Self {
+        match e {
+            VerifyError::Fault { scheme, error } => {
+                let mut err = Self::from(error);
+                err.message.insert_str(0, scheme.prefix());
+                err
+            }
+            VerifyError::Mismatch { .. } => Self::verification(e.to_string()),
+        }
     }
 }
 

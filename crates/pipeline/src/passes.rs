@@ -20,7 +20,8 @@ pub struct PassInfo {
 /// `schedule:*` passes are alternatives — a session runs the one its
 /// configured backend names (the bench evaluation runs three). `unroll`,
 /// `regalloc`, `codegen`, and `simulate-verify` run only when the session
-/// configuration asks for them.
+/// configuration asks for them (`simulate-verify` implies the two before
+/// it).
 pub const PASSES: &[PassInfo] = &[
     PassInfo {
         name: "parse",
@@ -181,9 +182,12 @@ pub const PASSES: &[PassInfo] = &[
     PassInfo {
         name: "simulate-verify",
         summary: "run the kernel and compare against the reference",
-        details: "Executes the generated code on the VLIW simulator with \
-                  seeded inputs and compares every array element bit for \
-                  bit against the reference interpreter (codes E0801 for \
+        details: "Executes the code this session generated — the rotating \
+                  kernel, plus the MVE kernel when one is emitted — on the \
+                  VLIW simulator with seeded inputs and compares every \
+                  array element bit for bit against the reference \
+                  interpreter. Implies regalloc and codegen; nothing is \
+                  rescheduled, so every backend verifies (codes E0801 for \
                   execution faults, E0802 for mismatches).",
         counters: &[
             ("cycles", "machine cycles simulated"),

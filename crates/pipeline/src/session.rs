@@ -22,7 +22,7 @@ use lsms_sched::{
     validate, DecisionStats, EngineWorkspace, MinDistCache, PressureReport, SchedContext,
     SchedProblem, SchedStats, Schedule,
 };
-use lsms_sim::{check_equivalence, check_equivalence_mve, EquivReport, RunConfig};
+use lsms_sim::{check_artifacts, EquivReport, RotatingCode};
 
 use crate::backend::{lookup_backend, resolve_backend, BackendEntry, BackendSelection};
 use crate::error::{LsmsError, Stage};
@@ -79,12 +79,14 @@ pub struct SessionConfig {
     pub straight_line: bool,
     /// Run rotating register allocation (implied by `codegen`).
     pub regalloc: bool,
-    /// Emit rotating-file kernel code.
+    /// Emit rotating-file kernel code (implied by `verify`).
     pub codegen: bool,
     /// Also emit the modulo-variable-expansion kernel, and (when
     /// verifying) check it against the reference too.
     pub mve: bool,
-    /// Run the simulate-verify pass with these parameters.
+    /// Run the simulate-verify pass with these parameters. It executes
+    /// the rotating kernel this session emits (so it implies `regalloc`
+    /// and `codegen`) and, with `mve`, the MVE kernel too.
     pub verify: Option<VerifySpec>,
     /// Optional per-pass wall-clock deadlines (see [`PassBudget`]).
     pub budgets: Vec<PassBudget>,
@@ -141,7 +143,8 @@ pub struct LoopArtifacts {
     pub kernel: Option<KernelCode>,
     /// Modulo-variable-expansion kernel, when requested.
     pub mve: Option<MveKernel>,
-    /// Equivalence report, when the session ran simulate-verify.
+    /// Equivalence report, when the session ran simulate-verify on the
+    /// kernels above.
     pub equiv: Option<EquivReport>,
     /// The loop's schedule-quality record (II vs. MII, MaxLive,
     /// lifetimes, backtracking work) for the observatory.
@@ -763,6 +766,12 @@ impl CompileSession {
     /// be recorded as data instead.
     pub fn run_loop(&self, compiled: &CompiledLoop) -> Result<LoopArtifacts, LsmsError> {
         let cfg = &self.config;
+        if cfg.verify.is_some() && (cfg.unroll > 1 || cfg.straight_line) {
+            return Err(LsmsError::usage(
+                "simulate-verify applies to the plain modulo pipeline only \
+                 (drop --unroll / --straight-line)",
+            ));
+        }
         let body = if cfg.unroll > 1 {
             let started = Instant::now();
             let unrolled = {
@@ -784,7 +793,8 @@ impl CompileSession {
 
         let backend = self.backend()?.clone();
         let cache = MinDistCache::new();
-        let (schedule, rr, icr, kernel, mve, quality) = {
+        let codegen = cfg.codegen || cfg.verify.is_some();
+        let (schedule, rr, icr, kernel, mve, equiv, quality) = {
             let problem = self.depgraph(&body)?;
             let run = self.schedule(&backend, &problem, &cache, &mut EngineWorkspace::new());
             let (sched_pass, sched_backend, degraded) = (run.pass, run.backend, run.degraded);
@@ -808,7 +818,7 @@ impl CompileSession {
                 },
             );
             self.record_mindist(&cache);
-            let (rr, icr) = if cfg.regalloc || cfg.codegen {
+            let (rr, icr) = if cfg.regalloc || codegen {
                 (
                     Some(self.regalloc(&problem, &schedule, RegClass::Rr)?),
                     Some(self.regalloc(&problem, &schedule, RegClass::Icr)?),
@@ -816,7 +826,7 @@ impl CompileSession {
             } else {
                 (None, None)
             };
-            let kernel = if cfg.codegen {
+            let kernel = if codegen {
                 let started = Instant::now();
                 let kernel = {
                     let _span = lsms_trace::span("codegen");
@@ -851,12 +861,19 @@ impl CompileSession {
             } else {
                 None
             };
-            (schedule, rr, icr, kernel, mve, quality)
-        };
-
-        let equiv = match &cfg.verify {
-            Some(spec) => Some(self.verify(compiled, *spec)?),
-            None => None,
+            let equiv = match cfg.verify {
+                Some(spec) => {
+                    let rotating = (
+                        rr.as_ref().expect("verify implies regalloc"),
+                        icr.as_ref().expect("verify implies regalloc"),
+                        kernel.as_ref().expect("verify implies codegen"),
+                    );
+                    let mve = mve.as_ref();
+                    Some(self.verify(compiled, &problem, &schedule, rotating, mve, spec)?)
+                }
+                None => None,
+            };
+            (schedule, rr, icr, kernel, mve, equiv, quality)
         };
 
         Ok(LoopArtifacts {
@@ -872,43 +889,40 @@ impl CompileSession {
         })
     }
 
-    /// Runs `simulate-verify`: end-to-end execution of the generated code
-    /// checked bit for bit against the reference interpreter (and the MVE
-    /// kernel too, when the session emits one).
-    fn verify(&self, compiled: &CompiledLoop, spec: VerifySpec) -> Result<EquivReport, LsmsError> {
-        let cfg = &self.config;
-        if cfg.unroll > 1 || cfg.straight_line {
-            return Err(LsmsError::usage(
-                "simulate-verify applies to the plain modulo pipeline only \
-                 (drop --unroll / --straight-line)",
-            ));
-        }
-        let backend = self.backend()?;
-        let Some(slack) = backend.scheduler.verify_config() else {
-            return Err(LsmsError::usage(
-                "simulate-verify requires a slack scheduler backend",
-            ));
-        };
-        let run = RunConfig {
-            trip: spec.trip,
-            seed: spec.seed,
-            scheduler: slack,
-        };
+    /// Runs `simulate-verify`: executes the code this session just built
+    /// — the rotating kernel, and the MVE kernel when the session emits
+    /// one — on the VLIW simulator and checks it bit for bit against the
+    /// reference interpreter. Nothing is rescheduled or re-emitted, so the
+    /// check covers whatever schedule the session ships: a fresh one, a
+    /// memo or warm-start hit, or a degradation fallback's.
+    fn verify(
+        &self,
+        compiled: &CompiledLoop,
+        problem: &SchedProblem<'_>,
+        schedule: &Schedule,
+        rotating: RotatingCode<'_>,
+        mve: Option<&MveKernel>,
+        spec: VerifySpec,
+    ) -> Result<EquivReport, LsmsError> {
         let started = Instant::now();
-        let _span = lsms_trace::span("simulate-verify");
-        let mut result =
-            check_equivalence(compiled, &cfg.machine, &run).map_err(LsmsError::verification);
-        if result.is_ok() && cfg.mve {
-            if let Err(e) = check_equivalence_mve(compiled, &cfg.machine, &run) {
-                result = Err(LsmsError::verification(format!("mve: {e}")));
-            }
-        }
+        let result = {
+            let _span = lsms_trace::span("simulate-verify");
+            check_artifacts(
+                compiled,
+                problem,
+                schedule,
+                Some(rotating),
+                mve,
+                spec.trip,
+                spec.seed,
+            )
+        };
         let counters = match &result {
             Ok(r) => [("cycles", r.cycles), ("elements", r.elements as u64)],
             Err(_) => [("cycles", 0), ("elements", 0)],
         };
         self.record("simulate-verify", started, &counters);
-        result
+        Ok(result?)
     }
 
     /// Schedules one loop with the configured backend, keeping schedule

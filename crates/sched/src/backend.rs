@@ -155,8 +155,10 @@ pub trait ModuloScheduler: Send + Sync + std::fmt::Debug {
     fn configure(&self, options: &[(String, String)]) -> Result<Arc<dyn ModuloScheduler>, String>;
 
     /// The slack configuration equivalent to this backend, when there is
-    /// one — the simulate-verify pass replays scheduling through
-    /// [`SlackConfig`], so only slack-family backends can verify.
+    /// one, for tools that rebuild a loop's code from scratch through
+    /// [`SlackConfig`] (the convenience checkers in `lsms-sim`). The
+    /// session's simulate-verify pass does not use it: it executes the
+    /// code the session built, so every backend verifies.
     fn verify_config(&self) -> Option<SlackConfig> {
         None
     }

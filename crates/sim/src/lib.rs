@@ -11,7 +11,8 @@
 //!   rotating RR/ICR files, stage predicates (ramp-up/ramp-down by
 //!   predication), guard predicates, and a flat word-addressed memory;
 //! * [`harness`] — lays out arrays, seeds initial register-file
-//!   instances, runs both engines on identical inputs, and compares every
+//!   instances, runs the reference and the already-built code (rotating
+//!   kernel, MVE kernel, or both) on identical inputs, and compares every
 //!   array bit for bit.
 //!
 //! Arithmetic is evaluated identically on both sides (including `-x`
@@ -29,7 +30,8 @@ pub mod trace;
 pub mod vliw;
 
 pub use harness::{
-    check_equivalence, check_equivalence_mve, make_workspace, EquivReport, RunConfig,
+    check_artifacts, check_equivalence, check_equivalence_mve, make_workspace, CodeScheme,
+    EquivReport, RotatingCode, RunConfig, VerifyError,
 };
 pub use mve_sim::run_mve;
 pub use reference::run_reference;

@@ -156,8 +156,8 @@ fn external_backend_registers_schedules_and_traces() {
 fn external_backend_can_verify_and_explain() {
     ensure_echo();
 
-    // verify_config delegates to the wrapped slack scheduler, so the
-    // simulate-verify pass works through the synthetic backend too.
+    // Simulate-verify executes the code the session built from the
+    // synthetic backend's schedule, so an external backend verifies too.
     let mut config = SessionConfig::new(huff_machine());
     config.backend = BackendSelection::named("echo");
     config.verify = Some(lsms::pipeline::VerifySpec::with_trip(10));

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use lsms::machine::huff_machine;
-use lsms::pipeline::{BackendSelection, CompileSession, PassBudget, SessionConfig};
+use lsms::pipeline::{BackendSelection, CompileSession, PassBudget, SessionConfig, VerifySpec};
 use lsms::sched::{validate, SchedProblem};
 
 /// The §2.3 sample loop: small, schedulable by every backend.
@@ -51,6 +51,36 @@ fn blown_schedule_budget_degrades_to_cydrome() {
     let cydrome = report.get("schedule:cydrome").expect("fallback recorded");
     assert_eq!(cydrome.counters.get("degraded"), Some(&1));
     assert_eq!(cydrome.counters.get("failures"), Some(&0));
+}
+
+#[test]
+fn simulate_verify_checks_the_degraded_schedule() {
+    let mut config = SessionConfig::new(huff_machine());
+    config.backend = starved_slack();
+    config.budgets = vec![PassBudget {
+        pass: "schedule:slack",
+        limit: Duration::ZERO,
+    }];
+    config.codegen = true;
+    config.verify = Some(VerifySpec::with_trip(10));
+    let session = CompileSession::new(config);
+    let unit = session.compile_source(SOURCE).expect("compiles");
+    let artifacts = session
+        .run_loop(&unit.loops[0])
+        .expect("the fallback's code verifies");
+
+    // Verification ran the schedule the session shipped — the Cydrome
+    // fallback's — rather than rescheduling with the starved backend.
+    let equiv = artifacts.equiv.expect("verified");
+    assert_eq!(
+        (equiv.ii, equiv.stages),
+        (artifacts.schedule.ii, artifacts.schedule.stages())
+    );
+    let report = session.report();
+    let cydrome = report.get("schedule:cydrome").expect("fallback recorded");
+    assert_eq!(cydrome.counters.get("degraded"), Some(&1));
+    let verify = report.get("simulate-verify").expect("verify recorded");
+    assert_eq!(verify.counters.get("cycles"), Some(&equiv.cycles));
 }
 
 #[test]

@@ -12,7 +12,7 @@ use lsms::pipeline::{
 };
 use lsms::regalloc::AllocError;
 use lsms::sched::{SchedFailure, SchedProblem, SchedStats, ScheduleError};
-use lsms::sim::SimError;
+use lsms::sim::{CodeScheme, SimError, VerifyError};
 
 const DAXPY: &str = "loop daxpy(i = 1..n) { real x[], y[]; param real a;
      y[i] = y[i] + a * x[i]; }";
@@ -235,6 +235,56 @@ fn simulate_diagnostics() {
         "E0802",
         11,
         "error[E0802]: t.loop: element 3 of `y` differs [simulate]",
+    );
+}
+
+#[test]
+fn simulate_verify_fault_keeps_its_code() {
+    // A simulator fault while executing generated code is E0801, not a
+    // mismatch; the MVE kernel's failures carry the `mve: ` prefix.
+    let err: LsmsError = VerifyError::Fault {
+        scheme: CodeScheme::Rotating,
+        error: SimError::MemoryOutOfBounds { addr: -8 },
+    }
+    .into();
+    check(
+        &err,
+        Stage::Simulate,
+        "E0801",
+        11,
+        "error[E0801]: t.loop: memory access at 0xfffffffffffffff8 [simulate]",
+    );
+    let err: LsmsError = VerifyError::Fault {
+        scheme: CodeScheme::Mve,
+        error: SimError::MissingParam("a".to_owned()),
+    }
+    .into();
+    check(
+        &err,
+        Stage::Simulate,
+        "E0801",
+        11,
+        "error[E0801]: t.loop: mve: parameter `a` missing from workspace [simulate]",
+    );
+}
+
+#[test]
+fn simulate_verify_mismatch_keeps_its_code() {
+    let err: LsmsError = VerifyError::Mismatch {
+        scheme: CodeScheme::Mve,
+        message: "array 1 (y) element 3: pipeline 1e0 (0x3ff0000000000000) != reference \
+                  2e0 (0x4000000000000000) [loop daxpy, II 2, trip 10, unroll 2]"
+            .to_owned(),
+    }
+    .into();
+    check(
+        &err,
+        Stage::Simulate,
+        "E0802",
+        11,
+        "error[E0802]: t.loop: mve: array 1 (y) element 3: pipeline 1e0 \
+         (0x3ff0000000000000) != reference 2e0 (0x4000000000000000) \
+         [loop daxpy, II 2, trip 10, unroll 2] [simulate]",
     );
 }
 
