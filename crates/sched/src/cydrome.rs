@@ -209,7 +209,7 @@ impl Heuristic for CydromeHeuristic {
 
     fn direction(
         &mut self,
-        _st: &EngineState<'_, '_>,
+        _st: &mut EngineState<'_, '_>,
         _node: usize,
         _decisions: &mut DecisionStats,
     ) -> Direction {

@@ -12,17 +12,21 @@
 //! 5. update the Estart/Lstart bounds of the unplaced operations;
 //! 6. if the iteration budget is exhausted, restart at a larger II.
 //!
-//! Bounds maintenance (steps 3 and 5) walks the
-//! [`Reachability`](crate::mindist::Reachability) lists of non-`NO_PATH`
-//! MinDist cells. In this crate's own test builds every bounds routine
-//! also runs a dense reference — probing whole matrix rows — on a shadow
-//! copy of the bounds and asserts the two agree entry for entry.
+//! Bounds maintenance (steps 3 and 5) reads the 32-bit MinDist mirrors
+//! ([`MinDist::row32`], [`MinDist::col32`]): the from-scratch refreshes
+//! fold whole rows of the placed nodes with branchless max/min kernels that
+//! vectorize, and the per-placement update and the forcing sweep read one
+//! row and one column. In this crate's own test builds every bounds
+//! routine also runs a dense reference — probing the `i64` matrix through
+//! [`MinDist::get`] — on a shadow copy of the bounds and asserts the two
+//! agree entry for entry.
 
 use lsms_ir::OpId;
 use lsms_machine::{critical_classes, Mrt, UnitAssignment};
 
 use std::sync::Arc;
 
+use crate::mindist::MIRROR_RANGE;
 #[cfg(test)]
 use crate::mindist::NO_PATH;
 use crate::{DecisionStats, MinDist, MinDistCache, SchedProblem, SchedStats, Schedule};
@@ -45,10 +49,11 @@ pub(crate) trait Heuristic {
     /// Picks an unplaced node (a real operation or `Stop`).
     fn choose(&mut self, st: &EngineState<'_, '_>, decisions: &mut DecisionStats) -> usize;
 
-    /// Picks the scan direction for the chosen node.
+    /// Picks the scan direction for the chosen node. The state is mutable
+    /// only for its [`scratch`](EngineState::scratch) buffer.
     fn direction(
         &mut self,
-        st: &EngineState<'_, '_>,
+        st: &mut EngineState<'_, '_>,
         node: usize,
         decisions: &mut DecisionStats,
     ) -> Direction;
@@ -78,7 +83,6 @@ pub struct EngineWorkspace {
     critical: Vec<bool>,
     minlt: Vec<Option<i64>>,
     assignments: Vec<UnitAssignment>,
-    unplaced: Vec<bool>,
     /// The indexed ready set: the unplaced nodes, dense.
     ready: Vec<u32>,
     /// Position of each node in `ready`, or [`PLACED`].
@@ -86,6 +90,10 @@ pub struct EngineWorkspace {
     conflict_buf: Vec<OpId>,
     /// Scratch for the forcing path's dependence-violation sweep.
     eject_buf: Vec<usize>,
+    /// Accumulator of the bounds refresh kernels.
+    fold: Vec<i32>,
+    /// Heuristic scratch (see [`EngineState::scratch`]).
+    scratch: Vec<usize>,
     /// Shadow bound buffers for the test-build dense cross-check.
     #[cfg(test)]
     check_estart: Vec<i64>,
@@ -139,8 +147,6 @@ pub(crate) struct EngineState<'p, 'a> {
     /// to contend for the same kernel cycle land on different instances.
     assignments: Vec<UnitAssignment>,
     mrt: Mrt,
-    /// O(1) unplaced-membership test, kept in lockstep with the ready set.
-    unplaced: Vec<bool>,
     unplaced_count: usize,
     /// The indexed ready set: exactly the unplaced nodes, in arbitrary
     /// order (swap-remove on place, push on eject). `choose` iterates this
@@ -150,8 +156,8 @@ pub(crate) struct EngineState<'p, 'a> {
     ready: Vec<u32>,
     /// Position of each node in `ready`, or [`PLACED`].
     ready_pos: Vec<u32>,
-    /// MinDist cells read while maintaining bounds and sweeping for
-    /// dependence violations this attempt (flushed into
+    /// MinDist mirror entries read while maintaining bounds and sweeping
+    /// for dependence violations this attempt (flushed into
     /// [`SchedStats::bounds_cells_touched`]).
     cells_touched: u64,
     /// Scratch list reused by the forcing path's conflict queries so the
@@ -159,6 +165,11 @@ pub(crate) struct EngineState<'p, 'a> {
     conflict_buf: Vec<OpId>,
     /// Scratch for the forcing path's dependence-violation sweep.
     eject_buf: Vec<usize>,
+    /// Accumulator of the bounds refresh kernels, one lane per node.
+    fold: Vec<i32>,
+    /// Scratch a heuristic may use while deciding, so its decisions stay
+    /// allocation-free; its contents are unspecified between calls.
+    pub scratch: Vec<usize>,
     /// Shadow bound buffers for the test-build dense cross-check.
     #[cfg(test)]
     check_estart: Vec<i64>,
@@ -228,6 +239,9 @@ impl<'p, 'a> EngineState<'p, 'a> {
         } else {
             estart[stop]
         };
+        // The deadline bounds every Lstart, so the mirror kernels' range
+        // invariant starts here (see `time32`).
+        time32(lstart_stop);
         let mut lstart = std::mem::take(&mut ws.lstart);
         lstart.clear();
         lstart.extend((0..n).map(|x| lstart_stop - md.get(x, stop)));
@@ -283,10 +297,6 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let mut last_place = std::mem::take(&mut ws.last_place);
         last_place.clear();
         last_place.resize(n, None);
-        let mut unplaced = std::mem::take(&mut ws.unplaced);
-        unplaced.clear();
-        unplaced.resize(n, true);
-        unplaced[start] = false;
         let unplaced_count = n - 1;
         // The ready set starts in ascending node order (matching the old
         // bool-scan); later swap-removes permute it freely.
@@ -320,13 +330,14 @@ impl<'p, 'a> EngineState<'p, 'a> {
             straight_line,
             assignments,
             mrt,
-            unplaced,
             unplaced_count,
             ready,
             ready_pos,
             cells_touched: 0,
             conflict_buf,
             eject_buf,
+            fold: std::mem::take(&mut ws.fold),
+            scratch: std::mem::take(&mut ws.scratch),
             #[cfg(test)]
             check_estart: std::mem::take(&mut ws.check_estart),
             #[cfg(test)]
@@ -343,11 +354,12 @@ impl<'p, 'a> EngineState<'p, 'a> {
         ws.critical = self.critical;
         ws.minlt = self.minlt;
         ws.assignments = self.assignments;
-        ws.unplaced = self.unplaced;
         ws.ready = self.ready;
         ws.ready_pos = self.ready_pos;
         ws.conflict_buf = self.conflict_buf;
         ws.eject_buf = self.eject_buf;
+        ws.fold = self.fold;
+        ws.scratch = self.scratch;
         #[cfg(test)]
         {
             ws.check_estart = self.check_estart;
@@ -413,7 +425,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
     }
 
     fn place(&mut self, node: usize, t: i64) {
-        debug_assert!(self.unplaced[node]);
+        debug_assert!(!self.is_placed(node));
         if !self.problem.is_pseudo(node) {
             self.mrt.place(
                 OpId::new(node),
@@ -424,7 +436,6 @@ impl<'p, 'a> EngineState<'p, 'a> {
         }
         self.time[node] = Some(t);
         self.last_place[node] = Some(t);
-        self.unplaced[node] = false;
         self.unplaced_count -= 1;
         // Swap-remove from the ready set, patching the moved node's index.
         let pos = self.ready_pos[node] as usize;
@@ -446,7 +457,6 @@ impl<'p, 'a> EngineState<'p, 'a> {
             );
         }
         self.time[node] = None;
-        self.unplaced[node] = true;
         self.unplaced_count += 1;
         self.ready_pos[node] = self.ready.len() as u32;
         self.ready.push(node as u32);
@@ -455,29 +465,23 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// §4.1 incremental update after placing `node` at `t`: tighten the
     /// bounds of every unplaced node.
     ///
-    /// Only the nodes sharing a path with `node` can have their bounds
-    /// moved by its placement, and the reachability lists carry the
-    /// distances, so the whole update reads exactly the reachable cells.
+    /// Reads row and column `node` of the mirrors at the ready nodes only.
+    /// No branch on reachability: a [`NO_PATH32`](crate::mindist::NO_PATH32)
+    /// or saturated cell yields a candidate that cannot bind (see
+    /// [`MIRROR_RANGE`](crate::mindist::MIRROR_RANGE)).
     fn tighten_bounds_after(&mut self, node: usize, t: i64) {
         #[cfg(test)]
         let dense = self.dense_reference(|st, estart, lstart| {
             st.dense_tighten_after(node, t, estart, lstart);
         });
         let md = Arc::clone(&self.md);
-        let reach = md.reach();
-        for &(u, fwd) in reach.succs(node) {
+        let (row, col) = (md.row32(node), md.col32(node));
+        for &u in &self.ready {
             let u = u as usize;
-            if self.unplaced[u] {
-                self.estart[u] = self.estart[u].max(t + fwd);
-            }
+            self.estart[u] = self.estart[u].max(t + i64::from(row[u]));
+            self.lstart[u] = self.lstart[u].min(t - i64::from(col[u]));
         }
-        for &(u, back) in reach.preds(node) {
-            let u = u as usize;
-            if self.unplaced[u] {
-                self.lstart[u] = self.lstart[u].min(t - back);
-            }
-        }
-        self.cells_touched += (reach.succs(node).len() + reach.preds(node).len()) as u64;
+        self.cells_touched += 2 * self.ready.len() as u64;
         #[cfg(test)]
         self.assert_matches_dense("tighten_bounds_after", dense);
         self.maybe_grow_lstart_stop();
@@ -488,7 +492,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
     #[cfg(test)]
     fn dense_tighten_after(&self, node: usize, t: i64, estart: &mut [i64], lstart: &mut [i64]) {
         for u in 0..self.problem.num_nodes() {
-            if !self.unplaced[u] {
+            if self.is_placed(u) {
                 continue;
             }
             let fwd = self.md.get(node, u);
@@ -513,28 +517,28 @@ impl<'p, 'a> EngineState<'p, 'a> {
 
     /// From-scratch Estart for every unplaced node: `MinDist(Start, u)`
     /// floored at 0, raised by every placed node that reaches `u`.
+    ///
+    /// `Start` is placed at 0, so the fold `acc = max(acc, t_z + row_z)`
+    /// over the placed `z` from `acc = 0` covers the initial term too. The
+    /// kernel runs over whole rows into the workspace accumulator; only the
+    /// ready nodes' entries are copied out.
     fn refresh_estarts(&mut self) {
         #[cfg(test)]
         let dense = self.dense_reference(|st, estart, _| st.dense_refresh_estarts(estart));
         let md = Arc::clone(&self.md);
-        let start = self.problem.start();
-        for i in 0..self.ready.len() {
-            let u = self.ready[i] as usize;
-            self.estart[u] = md.get(start, u).max(0);
-        }
-        self.cells_touched += self.ready.len() as u64;
-        let reach = md.reach();
         let n = self.problem.num_nodes();
-        for z in 0..n {
-            let Some(t) = self.time[z] else { continue };
-            for &(u, fwd) in reach.succs(z) {
-                let u = u as usize;
-                if self.unplaced[u] {
-                    self.estart[u] = self.estart[u].max(t + fwd);
-                }
-            }
-            self.cells_touched += reach.succs(z).len() as u64;
+        let mut acc = std::mem::take(&mut self.fold);
+        acc.clear();
+        acc.resize(n, 0);
+        for (z, &tz) in self.time.iter().enumerate() {
+            let Some(t) = tz else { continue };
+            fold_max(&mut acc, md.row32(z), time32(t));
+            self.cells_touched += n as u64;
         }
+        for &u in &self.ready {
+            self.estart[u as usize] = i64::from(acc[u as usize]);
+        }
+        self.fold = acc;
         #[cfg(test)]
         self.assert_matches_dense("refresh_estarts", dense);
     }
@@ -545,7 +549,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let n = self.problem.num_nodes();
         let start = self.problem.start();
         for (u, slot) in estart.iter_mut().enumerate() {
-            if !self.unplaced[u] {
+            if self.is_placed(u) {
                 continue;
             }
             let mut e = self.md.get(start, u).max(0);
@@ -562,32 +566,33 @@ impl<'p, 'a> EngineState<'p, 'a> {
 
     /// From-scratch Lstart refresh for every unplaced node — the single
     /// definition shared by [`recompute_bounds`](Self::recompute_bounds)
-    /// and [`maybe_grow_lstart_stop`](Self::maybe_grow_lstart_stop)
-    /// (which used to carry duplicate copies of this loop):
+    /// and [`maybe_grow_lstart_stop`](Self::maybe_grow_lstart_stop):
     /// `Lstart(u) = min(Lstart(Stop) − MinDist(u, Stop),
-    /// min over placed z of t_z − MinDist(u, z))`.
+    /// min over placed z of t_z − MinDist(u, z))`, folded over whole
+    /// mirror columns like [`refresh_estarts`](Self::refresh_estarts).
     fn refresh_lstarts(&mut self) {
         #[cfg(test)]
         let dense = self.dense_reference(|st, _, lstart| st.dense_refresh_lstarts(lstart));
         let md = Arc::clone(&self.md);
-        let stop = self.problem.stop();
-        for i in 0..self.ready.len() {
-            let u = self.ready[i] as usize;
-            self.lstart[u] = self.lstart_stop - md.get(u, stop);
-        }
-        self.cells_touched += self.ready.len() as u64;
-        let reach = md.reach();
         let n = self.problem.num_nodes();
-        for z in 0..n {
-            let Some(t) = self.time[z] else { continue };
-            for &(u, back) in reach.preds(z) {
-                let u = u as usize;
-                if self.unplaced[u] {
-                    self.lstart[u] = self.lstart[u].min(t - back);
-                }
-            }
-            self.cells_touched += reach.preds(z).len() as u64;
+        let lstart_stop = time32(self.lstart_stop);
+        let mut acc = std::mem::take(&mut self.fold);
+        acc.clear();
+        acc.extend(
+            md.col32(self.problem.stop())
+                .iter()
+                .map(|&w| lstart_stop - w),
+        );
+        self.cells_touched += n as u64;
+        for (z, &tz) in self.time.iter().enumerate() {
+            let Some(t) = tz else { continue };
+            fold_min_sub(&mut acc, md.col32(z), time32(t));
+            self.cells_touched += n as u64;
         }
+        for &u in &self.ready {
+            self.lstart[u as usize] = i64::from(acc[u as usize]);
+        }
+        self.fold = acc;
         #[cfg(test)]
         self.assert_matches_dense("refresh_lstarts", dense);
     }
@@ -598,7 +603,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let n = self.problem.num_nodes();
         let stop = self.problem.stop();
         for (u, slot) in lstart.iter_mut().enumerate() {
-            if !self.unplaced[u] {
+            if self.is_placed(u) {
                 continue;
             }
             let mut l = self.lstart_stop - self.md.get(u, stop);
@@ -619,7 +624,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// loosen other Lstarts; refresh them all through the shared helper.
     fn maybe_grow_lstart_stop(&mut self) {
         let stop = self.problem.stop();
-        if self.unplaced[stop] && self.estart[stop] > self.lstart_stop {
+        if !self.is_placed(stop) && self.estart[stop] > self.lstart_stop {
             self.lstart_stop = if self.straight_line {
                 // Keep the same proportional slack the attempt started
                 // with; a bare critical-path deadline leaves zero slack
@@ -668,42 +673,24 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// Collects (into `self.eject_buf`, ascending and deduplicated) every
     /// placed node whose dependence constraints a forced placement of `x`
     /// at `t` violates. `MinDist` reflects the transitive closure, so this
-    /// reaches beyond immediate successors (§4.4). The walk covers `x`'s
-    /// reachability lists; in test builds the dense reference scans every
-    /// node and must produce the same ascending victim list.
+    /// reaches beyond immediate successors (§4.4). The sweep reads row and
+    /// column `x` in node order, so victims come out ascending and each
+    /// once; in test builds the dense reference must produce the same list.
     fn collect_dependence_victims(&mut self, x: usize, t: i64) {
         let mut victims = std::mem::take(&mut self.eject_buf);
         victims.clear();
         let md = Arc::clone(&self.md);
         let start = self.problem.start();
-        let reach = md.reach();
-        for &(z, fwd) in reach.succs(x) {
-            let z = z as usize;
-            if z == start {
-                continue;
-            }
-            if let Some(tz) = self.time[z] {
-                if t + fwd > tz {
-                    victims.push(z);
-                }
+        let (row, col) = (md.row32(x), md.col32(x));
+        for (z, &tz) in self.time.iter().enumerate() {
+            let Some(tz) = tz else { continue };
+            // `x` itself sits at `t` with MinDist(x, x) = 0: never a victim.
+            let violated = t + i64::from(row[z]) > tz || tz + i64::from(col[z]) > t;
+            if violated && z != start {
+                victims.push(z);
             }
         }
-        for &(z, back) in reach.preds(x) {
-            let z = z as usize;
-            if z == start {
-                continue;
-            }
-            if let Some(tz) = self.time[z] {
-                if tz + back > t {
-                    victims.push(z);
-                }
-            }
-        }
-        self.cells_touched += (reach.succs(x).len() + reach.preds(x).len()) as u64;
-        // A node violated in both directions appears in both lists; keep
-        // each once, in ascending order.
-        victims.sort_unstable();
-        victims.dedup();
+        self.cells_touched += 2 * row.len() as u64;
         #[cfg(test)]
         assert_eq!(
             victims,
@@ -728,6 +715,34 @@ impl<'p, 'a> EngineState<'p, 'a> {
                 })
             })
             .collect()
+    }
+}
+
+/// Narrows an issue time or `Lstart(Stop)` for the mirror kernels, checking
+/// the [`MIRROR_RANGE`] invariant their exactness rests on.
+fn time32(t: i64) -> i32 {
+    assert!(
+        (0..i64::from(MIRROR_RANGE)).contains(&t),
+        "schedule time {t} is outside the i32 mirror range"
+    );
+    t as i32
+}
+
+/// Estart kernel: `acc[u] = max(acc[u], t + row[u])`, branchless over the
+/// whole row. `NO_PATH32` cells give candidates below 0, under every
+/// Estart, so they need no test.
+fn fold_max(acc: &mut [i32], row: &[i32], t: i32) {
+    for (a, &w) in acc.iter_mut().zip(row) {
+        *a = (*a).max(t + w);
+    }
+}
+
+/// Lstart kernel: `acc[u] = min(acc[u], t − col[u])`, branchless over the
+/// whole column. `NO_PATH32` cells give candidates above `Lstart(Stop)`,
+/// over every Lstart, so they need no test.
+fn fold_min_sub(acc: &mut [i32], col: &[i32], t: i32) {
+    for (a, &w) in acc.iter_mut().zip(col) {
+        *a = (*a).min(t - w);
     }
 }
 
@@ -776,9 +791,9 @@ fn attempt(
         // unplaced nodes, so this is what the heuristic will scan.
         stats.choose_scan_len += st.ready.len() as u64;
         let x = heuristic.choose(&st, decisions);
-        debug_assert!(st.unplaced[x]);
+        debug_assert!(!st.is_placed(x));
         // Step 2: search for an issue cycle within the bounds.
-        let direction = heuristic.direction(&st, x, decisions);
+        let direction = heuristic.direction(&mut st, x, decisions);
         lsms_trace::add(
             "sched",
             match direction {
@@ -1159,11 +1174,11 @@ mod tests {
             let n = st.problem.num_nodes();
             assert_eq!(st.ready.len(), st.unplaced_count);
             for (pos, &node) in st.ready.iter().enumerate() {
-                assert!(st.unplaced[node as usize]);
+                assert!(!st.is_placed(node as usize));
                 assert_eq!(st.ready_pos[node as usize], pos as u32);
             }
             for node in 0..n {
-                if !st.unplaced[node] {
+                if st.is_placed(node) {
                     assert_eq!(st.ready_pos[node], PLACED);
                 }
             }
@@ -1204,6 +1219,41 @@ mod tests {
         // The fadd forced at 20 must push the store (placed at 0) out.
         assert_eq!(st.eject_buf, vec![2]);
         assert!(st.cells_touched > 0);
+    }
+
+    /// A back arc whose ω·II discount lies below the mirror range: every
+    /// routine that reads the saturated cell must still agree with the
+    /// dense i64 reference.
+    #[test]
+    fn saturated_mirror_cells_match_the_dense_reference() {
+        let mut b = LoopBuilder::new("far");
+        let x = b.new_value(ValueType::Float);
+        let y = b.new_value(ValueType::Float);
+        let o1 = b.op(OpKind::FMul, &[y, y], Some(x));
+        let o2 = b.op(OpKind::FMul, &[x, x], Some(y));
+        b.flow_dep(o1, o2, 0);
+        b.flow_dep(o2, o1, 3_000_000_000);
+        let body = b.finish();
+        let machine = huff_machine();
+        let problem = SchedProblem::new(&body, &machine).unwrap();
+        let cache = MinDistCache::new();
+        let mut st = EngineState::new(&problem, problem.mii(), false, &cache).unwrap();
+        assert!(st.md.get(1, 0) < i64::from(i32::MIN));
+        assert_eq!(st.md.row32(1)[0], -MIRROR_RANGE);
+        // o2 placed first: tightening reads the saturated row 1 / column 1
+        // cells for o1, and the refreshes fold them.
+        st.place(1, 4);
+        st.tighten_bounds_after(1, 4);
+        st.recompute_bounds();
+        // Forcing o1 at 3 sweeps row 0 / column 0, where MinDist(o2, o1) is
+        // the saturated cell: o2 at 4 is a victim only through the
+        // forward arc o1 -> o2 (3 + 2 > 4).
+        st.place(0, 3);
+        st.collect_dependence_victims(0, 3);
+        assert_eq!(st.eject_buf, vec![1]);
+        st.eject(1);
+        st.recompute_bounds();
+        assert_eq!(st.estart[1], 5);
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Sparse bounds propagation against the dense reference, over seeded
-//! random dependence graphs and a slice of the paper corpus.
+//! The engine's 32-bit mirror kernels against the dense `i64` reference,
+//! over seeded random dependence graphs and the paper corpus.
 //!
-//! The reachability-indexed engine must be a pure cost optimisation:
-//! same bounds, same ejection sequences, same schedules. In this crate's
-//! test builds every bounds routine of the engine also runs the dense
-//! reference and asserts equality, so each case here is checked at every
-//! update of every attempt; the suites make sure the cases actually
-//! exercise the ejection path (where the sparse/dense divergence risk
-//! lives) and that recycled workspaces leak nothing between runs.
+//! Bounds maintenance on the narrowed MinDist mirrors must be a pure cost
+//! optimisation: same bounds, same ejection sequences, same schedules as
+//! the `i64` matrix gives. In this crate's test builds every bounds
+//! routine of the engine also runs the dense reference on `MinDist::get`
+//! and asserts equality, so each case here is checked at every update of
+//! every attempt; the suites make sure the cases actually exercise the
+//! ejection path (where the from-scratch refreshes run) and that recycled
+//! workspaces leak nothing between runs.
 
 use lsms_ir::{LoopBody, LoopBuilder, OpKind, ValueType};
 use lsms_machine::huff_machine;
 use lsms_prng::SmallRng;
 
 use crate::{
-    validate, CydromeScheduler, EngineWorkspace, MinDistCache, SchedProblem, Schedule,
-    SlackScheduler,
+    validate, CydromeScheduler, DirectionPolicy, EngineWorkspace, MinDistCache, SchedProblem,
+    Schedule, SlackConfig, SlackScheduler,
 };
 
 /// A random DAG-with-back-arcs body (same construction as the MinDist
@@ -156,27 +157,84 @@ fn recycled_workspaces_preserve_schedules() {
     }
 }
 
-/// The first 120 loops of the seed-1993 corpus through the slack
-/// scheduler, one workspace recycled across them: every bounds update of
-/// every attempt is checked against the dense reference, so the sparse
-/// schedules are the ones the dense path would have produced.
-#[test]
-fn corpus_slice_bounds_match_the_dense_reference() {
+/// Per-heuristic totals of a corpus sweep.
+#[derive(Debug, Default)]
+struct SweepTotals {
+    scheduled: u32,
+    ejections: u64,
+}
+
+/// The first `size` loops of the seed-1993 corpus through the three
+/// heuristics (slack, always-early, cydrome), one workspace per heuristic
+/// recycled across the loops: every bounds update of every attempt is
+/// checked against the dense reference, and every schedule validated.
+fn corpus_sweep(size: usize) -> [SweepTotals; 3] {
     let machine = huff_machine();
-    let scheduler = SlackScheduler::new();
-    let mut ws = EngineWorkspace::new();
-    let (mut scheduled, mut ejections) = (0u32, 0u64);
-    for l in lsms_loops::corpus(120, 1993) {
+    let slack = SlackScheduler::new();
+    let early = SlackScheduler::with_config(SlackConfig {
+        direction: DirectionPolicy::AlwaysEarly,
+        ..SlackConfig::default()
+    });
+    let cydrome = CydromeScheduler::new();
+    let mut ws: [EngineWorkspace; 3] = Default::default();
+    let mut totals: [SweepTotals; 3] = Default::default();
+    for l in lsms_loops::corpus(size, 1993) {
         let Ok(problem) = SchedProblem::new(&l.body, &machine) else {
             continue;
         };
-        let (result, _) = scheduler.run_in(&problem, &MinDistCache::new(), None, &mut ws);
-        if let Ok(s) = result {
-            assert_eq!(validate(&problem, &s), Ok(()), "{}", l.def.name);
-            scheduled += 1;
-            ejections += s.stats.ejected_ops;
+        let results = [
+            slack
+                .run_in(&problem, &MinDistCache::new(), None, &mut ws[0])
+                .0,
+            early
+                .run_in(&problem, &MinDistCache::new(), None, &mut ws[1])
+                .0,
+            cydrome.run_cached_in(&problem, &MinDistCache::new(), &mut ws[2]),
+        ];
+        for (result, total) in results.into_iter().zip(&mut totals) {
+            if let Ok(s) = result {
+                assert_eq!(validate(&problem, &s), Ok(()), "{}", l.def.name);
+                total.scheduled += 1;
+                total.ejections += s.stats.ejected_ops;
+            }
         }
     }
-    assert!(scheduled >= 100, "only {scheduled} of 120 loops scheduled");
-    assert!(ejections > 0, "no corpus loop exercised the §4.4 path");
+    totals
+}
+
+/// The first 120 loops of the corpus through all three heuristics.
+#[test]
+fn corpus_slice_bounds_match_the_dense_reference() {
+    let totals = corpus_sweep(120);
+    for (name, t) in ["slack", "early", "cydrome"].iter().zip(&totals) {
+        assert!(
+            t.scheduled >= 100,
+            "{name}: only {} of 120 loops scheduled",
+            t.scheduled
+        );
+        assert!(
+            t.ejections > 0,
+            "{name}: no corpus loop exercised the §4.4 path"
+        );
+    }
+}
+
+/// The whole 1,525-loop corpus through all three heuristics under the
+/// dense cross-check. Slow in debug builds; run it with
+/// `cargo test --release -p lsms-sched --lib -- --ignored`.
+#[test]
+#[ignore = "full corpus; run in release with --ignored"]
+fn full_corpus_bounds_match_the_dense_reference() {
+    let totals = corpus_sweep(1525);
+    for (name, t) in ["slack", "early", "cydrome"].iter().zip(&totals) {
+        assert!(
+            t.scheduled >= 1500,
+            "{name}: only {} of 1525 loops scheduled",
+            t.scheduled
+        );
+        assert!(
+            t.ejections > 0,
+            "{name}: no corpus loop exercised the §4.4 path"
+        );
+    }
 }

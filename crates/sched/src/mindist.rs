@@ -1,6 +1,7 @@
 //! The `MinDist` relation (§4.1): all-pairs longest paths at a given II.
 //!
-//! [`MinDist::compute`] runs Floyd–Warshall at one fixed II;
+//! [`MinDist::compute`] runs Floyd–Warshall at one fixed II and builds the
+//! matrix's 32-bit mirrors for the engine's bounds kernels;
 //! [`MinDistCache`] shares each `(problem, II)` matrix across a scheduling
 //! run so it is computed once.
 
@@ -12,6 +13,25 @@ use std::sync::{Arc, Mutex};
 /// Chosen far from `i64::MIN` so sums of path weights cannot overflow.
 pub const NO_PATH: i64 = i64::MIN / 4;
 
+/// The [`NO_PATH`] sentinel of the 32-bit mirrors ([`MinDist::row32`],
+/// [`MinDist::col32`]).
+pub const NO_PATH32: i32 = i32::MIN / 2;
+
+/// Range bound of the 32-bit mirrors: a finite `MinDist` is stored exactly
+/// when it lies in `[-MIRROR_RANGE, MIRROR_RANGE]`.
+///
+/// A distance below `-MIRROR_RANGE` (a large `ω·II` discount) is stored as
+/// `-MIRROR_RANGE`, which is exact for every bound the engine derives: its
+/// issue times and bounds lie in `[0, MIRROR_RANGE)` (checked where it
+/// narrows them), so `t + d` is negative and never raises an Estart (which
+/// is at least 0) or violates a placement, and `t − d` exceeds every
+/// Lstart (at most `Lstart(Stop) < MIRROR_RANGE`). The same argument
+/// covers [`NO_PATH32`], which lies below the floor. A distance above
+/// `MIRROR_RANGE` is a real constraint that cannot be narrowed, so building
+/// the mirrors panics. With every operand in these ranges, the sums the
+/// engine's kernels form stay within `±(2^30 + 2^29)` and never wrap.
+pub const MIRROR_RANGE: i32 = 1 << 29;
+
 /// For each pair of operations `x` and `y`, `MinDist(x, y)` is the minimum
 /// number of cycles (possibly negative) by which `x` must precede `y` in
 /// any feasible schedule, or [`NO_PATH`] if the dependence graph has no
@@ -22,95 +42,39 @@ pub const NO_PATH: i64 = i64::MIN / 4;
 /// non-positive, the computation is well defined (§4.1). The matrix depends
 /// only on `(problem, II)`, so within one scheduling run it is computed at
 /// most once per candidate II — see [`MinDistCache`].
+///
+/// Besides the `i64` matrix that [`get`](Self::get) reads, every `MinDist`
+/// carries two contiguous 32-bit mirrors for the scheduling engine's bounds
+/// kernels: the rows `MinDist(x, ·)` ([`row32`](Self::row32)) and the
+/// transposed columns `MinDist(·, y)` ([`col32`](Self::col32)), narrowed
+/// under the [`MIRROR_RANGE`] invariant. Half-width lanes let the engine's
+/// branchless max/min folds vectorize on baseline x86-64, which has no
+/// SIMD 64-bit compare.
 #[derive(Clone, Debug)]
 pub struct MinDist {
     n: usize,
     ii: u32,
     feasible: bool,
     d: Vec<i64>,
-    reach: Reachability,
+    /// `rows[x * n + y] = MinDist(x, y)`, narrowed.
+    rows: Vec<i32>,
+    /// `cols[y * n + x] = MinDist(x, y)`, narrowed.
+    cols: Vec<i32>,
 }
 
-/// Compact reachability index over a [`MinDist`] matrix: per node, the
-/// CSR lists of `(other, distance)` pairs whose cell is not [`NO_PATH`],
-/// diagonal excluded — the transitive closure of the dependence graph,
-/// annotated with the longest-path distances at the matrix's II.
-///
-/// Dependence graphs are sparse, so most matrix cells are `NO_PATH`; the
-/// scheduling engine's bound maintenance iterates these lists instead of
-/// probing whole matrix rows. Distances ride along in the pairs so the
-/// hot loops never re-probe the dense matrix. Built once per matrix
-/// (O(n²), trivial next to the Floyd–Warshall that produced it) and shared
-/// through the matrix's `Arc`.
-#[derive(Clone, Debug, Default)]
-pub struct Reachability {
-    /// `succs[succ_offsets[x]..succ_offsets[x+1]]` = the `(y, MinDist(x, y))`
-    /// pairs with a path `x → y`.
-    succ_offsets: Vec<u32>,
-    succs: Vec<(u32, i64)>,
-    /// `preds[pred_offsets[y]..pred_offsets[y+1]]` = the `(x, MinDist(x, y))`
-    /// pairs with a path `x → y`.
-    pred_offsets: Vec<u32>,
-    preds: Vec<(u32, i64)>,
-}
-
-impl Reachability {
-    /// Builds both CSR sides from a dense `n × n` matrix.
-    fn build(n: usize, d: &[i64]) -> Self {
-        debug_assert_eq!(d.len(), n * n);
-        let mut succ_offsets = vec![0u32; n + 1];
-        let mut pred_offsets = vec![0u32; n + 1];
-        for x in 0..n {
-            for y in 0..n {
-                if x != y && d[x * n + y] != NO_PATH {
-                    succ_offsets[x + 1] += 1;
-                    pred_offsets[y + 1] += 1;
-                }
-            }
-        }
-        for i in 0..n {
-            succ_offsets[i + 1] += succ_offsets[i];
-            pred_offsets[i + 1] += pred_offsets[i];
-        }
-        let mut succs = vec![(0u32, 0i64); succ_offsets[n] as usize];
-        let mut preds = vec![(0u32, 0i64); pred_offsets[n] as usize];
-        let mut succ_cursor: Vec<u32> = succ_offsets[..n].to_vec();
-        let mut pred_cursor: Vec<u32> = pred_offsets[..n].to_vec();
-        for x in 0..n {
-            for y in 0..n {
-                let w = d[x * n + y];
-                if x != y && w != NO_PATH {
-                    succs[succ_cursor[x] as usize] = (y as u32, w);
-                    succ_cursor[x] += 1;
-                    preds[pred_cursor[y] as usize] = (x as u32, w);
-                    pred_cursor[y] += 1;
-                }
-            }
-        }
-        Self {
-            succ_offsets,
-            succs,
-            pred_offsets,
-            preds,
-        }
+/// The checked `i64 → i32` narrowing of one matrix cell (see
+/// [`MIRROR_RANGE`]).
+fn narrow(x: usize, y: usize, w: i64) -> i32 {
+    if w == NO_PATH {
+        return NO_PATH32;
     }
-
-    /// The `(y, MinDist(x, y))` pairs reachable *from* `x` (`x` excluded).
-    #[inline]
-    pub fn succs(&self, x: usize) -> &[(u32, i64)] {
-        &self.succs[self.succ_offsets[x] as usize..self.succ_offsets[x + 1] as usize]
-    }
-
-    /// The `(y, MinDist(y, x))` pairs that reach `x` (`x` excluded).
-    #[inline]
-    pub fn preds(&self, x: usize) -> &[(u32, i64)] {
-        &self.preds[self.pred_offsets[x] as usize..self.pred_offsets[x + 1] as usize]
-    }
-
-    /// Total reachable (off-diagonal, non-`NO_PATH`) cells in the matrix.
-    pub fn cells(&self) -> usize {
-        self.succs.len()
-    }
+    let range = i64::from(MIRROR_RANGE);
+    assert!(
+        w <= range,
+        "MinDist({x}, {y}) = {w} exceeds the i32 mirror range (at most {range})"
+    );
+    // In range after the clamp, so the cast is exact.
+    w.max(-range) as i32
 }
 
 impl MinDist {
@@ -120,6 +84,11 @@ impl MinDist {
     /// `MinDist(x, x)` is fixed at 0 for every operation, as in the paper;
     /// if `ii < RecMII` some diagonal entry would want to be positive, which
     /// [`is_feasible`](Self::is_feasible) reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ii` is 0, or if a finite distance exceeds
+    /// [`MIRROR_RANGE`] (a critical path of more than 2^29 cycles).
     pub fn compute(problem: &SchedProblem<'_>, ii: u32) -> Self {
         Self::compute_into(problem, ii, Vec::new())
     }
@@ -127,9 +96,27 @@ impl MinDist {
     /// Like [`compute`](Self::compute) but recycles `buf` as the matrix
     /// storage, avoiding a fresh allocation when a same-size buffer from an
     /// earlier II attempt is available.
-    pub fn compute_into(problem: &SchedProblem<'_>, ii: u32, mut buf: Vec<i64>) -> Self {
+    pub fn compute_into(problem: &SchedProblem<'_>, ii: u32, buf: Vec<i64>) -> Self {
+        Self::compute_in(
+            problem,
+            ii,
+            Buffers {
+                d: buf,
+                ..Buffers::default()
+            },
+        )
+    }
+
+    /// Like [`compute_into`](Self::compute_into), recycling the mirror
+    /// buffers too.
+    fn compute_in(problem: &SchedProblem<'_>, ii: u32, bufs: Buffers) -> Self {
         assert!(ii > 0, "II must be positive");
         let n = problem.num_nodes();
+        let Buffers {
+            d: mut buf,
+            mut rows,
+            mut cols,
+        } = bufs;
         buf.clear();
         buf.resize(n * n, NO_PATH);
         let mut d = buf;
@@ -189,13 +176,24 @@ impl MinDist {
                 d[i * n + i] = 0;
             }
         }
-        let reach = Reachability::build(n, &d);
+        rows.clear();
+        rows.reserve(n * n);
+        cols.clear();
+        cols.resize(n * n, NO_PATH32);
+        for (x, row) in d.chunks_exact(n).enumerate() {
+            for (y, &w) in row.iter().enumerate() {
+                let w = narrow(x, y, w);
+                rows.push(w);
+                cols[y * n + x] = w;
+            }
+        }
         Self {
             n,
             ii,
             feasible,
             d,
-            reach,
+            rows,
+            cols,
         }
     }
 
@@ -217,11 +215,19 @@ impl MinDist {
         self.d[x * self.n + y]
     }
 
-    /// The matrix's reachability index: per node, the compact successor
-    /// and predecessor lists of non-[`NO_PATH`] cells.
+    /// Row `x` of the 32-bit mirror: `row32(x)[y]` is `MinDist(x, y)`
+    /// narrowed under [`MIRROR_RANGE`], [`NO_PATH32`] where there is no path.
     #[inline]
-    pub fn reach(&self) -> &Reachability {
-        &self.reach
+    pub fn row32(&self, x: usize) -> &[i32] {
+        &self.rows[x * self.n..(x + 1) * self.n]
+    }
+
+    /// Column `y` of the 32-bit mirror, stored contiguously: `col32(y)[x]`
+    /// is `MinDist(x, y)` narrowed under [`MIRROR_RANGE`], [`NO_PATH32`]
+    /// where there is no path.
+    #[inline]
+    pub fn col32(&self, y: usize) -> &[i32] {
+        &self.cols[y * self.n..(y + 1) * self.n]
     }
 
     /// Recovers the matrix storage, for recycling through
@@ -229,6 +235,15 @@ impl MinDist {
     pub fn into_buf(self) -> Vec<i64> {
         self.d
     }
+}
+
+/// The allocations of one [`MinDist`] (matrix and both mirrors), pooled by
+/// [`MinDistCache`] for the next compute.
+#[derive(Debug, Default)]
+struct Buffers {
+    d: Vec<i64>,
+    rows: Vec<i32>,
+    cols: Vec<i32>,
 }
 
 /// Counters describing how a [`MinDistCache`] served its requests.
@@ -256,7 +271,7 @@ struct CacheInner {
     /// short monotone sequence per evaluation, so a small vector beats a map.
     entries: Vec<(u32, Arc<MinDist>)>,
     /// Retired matrix buffers available for reuse by the next compute.
-    pool: Vec<Vec<i64>>,
+    pool: Vec<Buffers>,
     stats: MinDistCacheStats,
 }
 
@@ -292,8 +307,8 @@ impl MinDistCache {
         }
         inner.stats.misses += 1;
         inner.stats.fw_computes += 1;
-        let buf = inner.pool.pop().unwrap_or_default();
-        let md = Arc::new(MinDist::compute_into(problem, ii, buf));
+        let bufs = inner.pool.pop().unwrap_or_default();
+        let md = Arc::new(MinDist::compute_in(problem, ii, bufs));
         inner.entries.push((ii, Arc::clone(&md)));
         md
     }
@@ -313,7 +328,11 @@ impl MinDistCache {
         let entries = std::mem::take(&mut inner.entries);
         for (_, md) in entries {
             if let Ok(md) = Arc::try_unwrap(md) {
-                inner.pool.push(md.d);
+                inner.pool.push(Buffers {
+                    d: md.d,
+                    rows: md.rows,
+                    cols: md.cols,
+                });
             }
         }
     }
@@ -465,61 +484,47 @@ mod tests {
         assert_eq!(cache.stats().misses, 5);
     }
 
-    /// The reachability CSR must mirror the dense matrix exactly: every
-    /// off-diagonal non-`NO_PATH` cell appears in both the successor and
-    /// the predecessor list with the matrix's distance, and nothing else.
-    fn assert_reach_mirrors_matrix(md: &MinDist) {
+    /// Both 32-bit mirrors must equal the `i64` matrix cell for cell,
+    /// with [`NO_PATH`] mapped to [`NO_PATH32`]. The bodies these tests
+    /// use keep every distance well inside the mirror range.
+    fn assert_mirrors_equal_the_matrix(md: &MinDist) {
         let n = md.n;
-        let r = md.reach();
-        let mut cells = 0usize;
+        for x in 0..n {
+            assert_eq!(md.row32(x).len(), n);
+            assert_eq!(md.col32(x).len(), n);
+        }
         for x in 0..n {
             for y in 0..n {
                 let w = md.get(x, y);
-                let in_succs = r.succs(x).contains(&(y as u32, w));
-                let in_preds = r.preds(y).contains(&(x as u32, w));
-                if x != y && w != NO_PATH {
-                    cells += 1;
-                    assert!(in_succs, "({x},{y}) missing from succs");
-                    assert!(in_preds, "({x},{y}) missing from preds");
+                let want = if w == NO_PATH {
+                    NO_PATH32
                 } else {
-                    assert!(!r.succs(x).iter().any(|&(z, _)| z as usize == y));
-                    assert!(!r.preds(y).iter().any(|&(z, _)| z as usize == x));
-                }
+                    i32::try_from(w).expect("test distances fit i32")
+                };
+                assert_eq!(md.row32(x)[y], want, "row32({x})[{y}] vs get = {w}");
+                assert_eq!(md.col32(y)[x], want, "col32({y})[{x}] vs get = {w}");
             }
         }
-        assert_eq!(r.cells(), cells);
-        assert_eq!(r.cells(), r.preds.len());
     }
 
     #[test]
-    fn reachability_mirrors_the_matrix() {
+    fn mirrors_equal_the_matrix_on_a_chain() {
         let body = chain_body();
         let m = huff_machine();
         let p = SchedProblem::new(&body, &m).unwrap();
         let md = MinDist::compute(&p, 3);
-        assert_reach_mirrors_matrix(&md);
-        // The chain's closure: load reaches fadd, store and Stop.
-        let succs_of_load: Vec<usize> = md
-            .reach()
-            .succs(0)
-            .iter()
-            .map(|&(y, _)| y as usize)
-            .collect();
-        assert!(succs_of_load.contains(&1));
-        assert!(succs_of_load.contains(&2));
-        assert!(succs_of_load.contains(&p.stop()));
-        // Distances ride along so the engine never re-probes the matrix.
-        assert!(md.reach().succs(0).contains(&(1, 13)));
-        assert!(md.reach().preds(1).contains(&(0, 13)));
-        // Nothing reaches the load except Start.
-        assert_eq!(md.reach().preds(0).len(), 1);
-        assert_eq!(md.reach().preds(0)[0].0 as usize, p.start());
+        assert_mirrors_equal_the_matrix(&md);
+        // The chain carries both finite distances and NO_PATH cells.
+        assert_eq!(md.row32(0)[1], 13);
+        assert_eq!(md.col32(1)[0], 13);
+        assert_eq!(md.row32(2)[0], NO_PATH32);
+        assert_eq!(md.col32(0)[2], NO_PATH32);
     }
 
     #[test]
-    fn recurrence_reachability_mirrors_the_matrix() {
+    fn mirrors_equal_the_matrix_on_a_recurrence() {
         // A recurrence keeps some cells NO_PATH and some negative; the
-        // index must carry both exactly, at every feasible II.
+        // mirrors must carry both exactly, at every feasible II.
         let mut b = LoopBuilder::new("rec");
         let x = b.new_value(ValueType::Float);
         let y = b.new_value(ValueType::Float);
@@ -531,7 +536,103 @@ mod tests {
         let m = huff_machine();
         let p = SchedProblem::new(&body, &m).unwrap();
         for ii in p.rec_mii()..p.rec_mii() + 4 {
-            assert_reach_mirrors_matrix(&MinDist::compute(&p, ii));
+            let md = MinDist::compute(&p, ii);
+            assert!(md.get(1, 0) < 0);
+            assert_mirrors_equal_the_matrix(&md);
+        }
+    }
+
+    /// Two fmuls in a recurrence whose back arc spans `omega` iterations.
+    fn long_omega_body(omega: u32) -> lsms_ir::LoopBody {
+        let mut b = LoopBuilder::new("far");
+        let x = b.new_value(ValueType::Float);
+        let y = b.new_value(ValueType::Float);
+        let o1 = b.op(OpKind::FMul, &[y, y], Some(x));
+        let o2 = b.op(OpKind::FMul, &[x, x], Some(y));
+        b.flow_dep(o1, o2, 0);
+        b.flow_dep(o2, o1, omega);
+        b.finish()
+    }
+
+    #[test]
+    fn distances_below_the_mirror_range_saturate_and_keep_bounds_exact() {
+        // ω = 3·10⁹ at II ≥ 1 puts MinDist(o2, o1) = 2 − ω·II below
+        // i32::MIN: a bare `as i32` would wrap it to a large *positive*
+        // distance, a constraint that does not exist.
+        let body = long_omega_body(3_000_000_000);
+        let m = huff_machine();
+        let p = SchedProblem::new(&body, &m).unwrap();
+        let md = MinDist::compute(&p, 1);
+        let far = md.get(1, 0);
+        assert!(far < i64::from(i32::MIN), "{far}");
+        assert!(far as i32 > 0, "the naive narrowing must wrap positive");
+        // The checked narrowing saturates at the mirror floor instead.
+        assert_eq!(md.row32(1)[0], -MIRROR_RANGE);
+        assert_eq!(md.col32(0)[1], -MIRROR_RANGE);
+        // Every in-range cell is still exact.
+        for x in 0..p.num_nodes() {
+            for y in 0..p.num_nodes() {
+                let w = md.get(x, y);
+                if w != NO_PATH && w >= -i64::from(MIRROR_RANGE) {
+                    assert_eq!(i64::from(md.row32(x)[y]), w);
+                    assert_eq!(i64::from(md.col32(y)[x]), w);
+                }
+            }
+        }
+        // The engine's test builds compare every bounds update and victim
+        // sweep against the dense i64 reference on `get()`, so these runs
+        // show the saturated mirrors give the i64 bounds exactly: in the
+        // pipelined escalation of all three heuristics and in
+        // straight-line mode, whose huge II horizon discounts ω further.
+        let cache = MinDistCache::new();
+        let slack = crate::SlackScheduler::new();
+        let early = crate::SlackScheduler::with_config(crate::SlackConfig {
+            direction: crate::DirectionPolicy::AlwaysEarly,
+            ..crate::SlackConfig::default()
+        });
+        for s in [
+            slack.run_cached(&p, &cache),
+            early.run_cached(&p, &cache),
+            crate::CydromeScheduler::new().run_cached(&p, &cache),
+            slack.run_straight_line(&p),
+        ] {
+            let s = s.expect("schedulable");
+            assert_eq!(crate::validate(&p, &s), Ok(()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the i32 mirror range")]
+    fn distances_above_the_mirror_range_are_rejected() {
+        // A latency past the mirror range is a real constraint that no
+        // i32 can carry: building the mirrors must fail loudly.
+        let mut mb = lsms_machine::MachineBuilder::new("slow");
+        let alu = mb.class("ALU", 1);
+        mb.pipelined(alu, 1 << 30, &[OpKind::FMul]);
+        let m = mb.finish();
+        let body = long_omega_body(1);
+        let p = SchedProblem::new(&body, &m).unwrap();
+        MinDist::compute(&p, p.mii());
+    }
+
+    #[test]
+    fn recycled_buffers_rebuild_the_mirrors() {
+        // A cache reset hands a larger problem's matrix and mirrors to the
+        // next compute: nothing of them may leak into the new mirrors.
+        let m = huff_machine();
+        let (chain, pair) = (chain_body(), long_omega_body(2));
+        let big = SchedProblem::new(&chain, &m).unwrap();
+        let small = SchedProblem::new(&pair, &m).unwrap();
+        assert!(big.num_nodes() > small.num_nodes());
+        let cache = MinDistCache::new();
+        drop(cache.get(&big, 3));
+        cache.reset();
+        let md = cache.get(&small, 3);
+        assert_mirrors_equal_the_matrix(&md);
+        let fresh = MinDist::compute(&small, 3);
+        for x in 0..small.num_nodes() {
+            assert_eq!(md.row32(x), fresh.row32(x));
+            assert_eq!(md.col32(x), fresh.col32(x));
         }
     }
 

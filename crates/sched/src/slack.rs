@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use lsms_ir::ValueId;
-
 use crate::engine::{run_framework, Direction, EngineState, EngineWorkspace, Heuristic};
 use crate::{DecisionStats, MinDistCache, SchedProblem, SchedStats, Schedule};
 
@@ -403,7 +401,7 @@ impl Heuristic for SlackHeuristic {
 
     fn direction(
         &mut self,
-        st: &EngineState<'_, '_>,
+        st: &mut EngineState<'_, '_>,
         node: usize,
         decisions: &mut DecisionStats,
     ) -> Direction {
@@ -424,11 +422,25 @@ impl Heuristic for SlackHeuristic {
 ///
 /// Only *stretchable* register flow dependences count: loop invariants live
 /// in the GPR file (and never appear as arcs), duplicate inputs of the same
-/// value count once, and self-recurrences have fixed lengths.
+/// value count once, and self-recurrences have fixed lengths. The
+/// deduplication runs in the engine's [`scratch`](EngineState::scratch)
+/// buffer, so a decision allocates nothing.
 fn bidirectional_direction(
+    st: &mut EngineState<'_, '_>,
+    node: usize,
+    decisions: &mut DecisionStats,
+) -> Direction {
+    let mut scratch = std::mem::take(&mut st.scratch);
+    let direction = bidirectional_direction_in(st, node, decisions, &mut scratch);
+    st.scratch = scratch;
+    direction
+}
+
+fn bidirectional_direction_in(
     st: &EngineState<'_, '_>,
     node: usize,
     decisions: &mut DecisionStats,
+    scratch: &mut Vec<usize>,
 ) -> Direction {
     let problem = st.problem;
     let body = problem.body();
@@ -443,18 +455,19 @@ fn bidirectional_direction(
     }
     let op_id = lsms_ir::OpId::new(node);
 
-    // Stretchable inputs, deduplicated by value.
-    let mut seen: Vec<ValueId> = Vec::new();
+    // Stretchable inputs, deduplicated by value (`scratch` holds the value
+    // indices seen so far).
+    scratch.clear();
     let mut inputs = 0usize;
     for dep in body.deps_to(op_id) {
         if !dep.is_register_flow() || dep.is_self_arc() {
             continue;
         }
         let v = dep.value.expect("register flow arcs carry a value");
-        if seen.contains(&v) {
+        if scratch.contains(&v.index()) {
             continue; // duplicate input: do not count a lifetime twice
         }
-        seen.push(v);
+        scratch.push(v.index());
         let d = dep.from.index();
         // If Estart(d) + MinLT(v) >= omega*II + Lstart(node), this use can
         // never be the one stretching v's lifetime.
@@ -492,26 +505,10 @@ fn bidirectional_direction(
     // Tie: the placement cannot affect final pressure, so minimise
     // backtracking by placing near whichever neighbour group is less
     // likely to be ejected — the one with the larger placed fraction.
-    let placed_fraction = |nodes: &[usize]| -> (usize, usize) {
-        let placed = nodes.iter().filter(|&&z| st.is_placed(z)).count();
-        (placed, nodes.len())
-    };
-    let mut preds: Vec<usize> = body
-        .deps_to(op_id)
-        .map(|d| d.from.index())
-        .filter(|&z| z != node)
-        .collect();
-    preds.sort_unstable();
-    preds.dedup();
-    let mut succs: Vec<usize> = body
-        .deps_from(op_id)
-        .map(|d| d.to.index())
-        .filter(|&z| z != node)
-        .collect();
-    succs.sort_unstable();
-    succs.dedup();
-    let (pp, pn) = placed_fraction(&preds);
-    let (sp, sn) = placed_fraction(&succs);
+    let preds = body.deps_to(op_id).map(|d| d.from.index());
+    let (pp, pn) = placed_fraction(st, node, preds, scratch);
+    let succs = body.deps_from(op_id).map(|d| d.to.index());
+    let (sp, sn) = placed_fraction(st, node, succs, scratch);
     // Compare pp/pn vs sp/sn without floating point; empty groups count 0.
     let lhs = pp * sn.max(1);
     let rhs = sp * pn.max(1);
@@ -530,6 +527,22 @@ fn bidirectional_direction(
         decisions.tie_late += 1;
         Direction::Late
     }
+}
+
+/// `(placed, total)` over the distinct `neighbours` of `node` (`node`
+/// itself excluded), deduplicated in `scratch`.
+fn placed_fraction(
+    st: &EngineState<'_, '_>,
+    node: usize,
+    neighbours: impl Iterator<Item = usize>,
+    scratch: &mut Vec<usize>,
+) -> (usize, usize) {
+    scratch.clear();
+    scratch.extend(neighbours.filter(|&z| z != node));
+    scratch.sort_unstable();
+    scratch.dedup();
+    let placed = scratch.iter().filter(|&&z| st.is_placed(z)).count();
+    (placed, scratch.len())
 }
 
 #[cfg(test)]
@@ -692,6 +705,61 @@ mod tests {
             decisions.selections,
             decisions.zero_slack + decisions.with_slack()
         );
+    }
+
+    /// Duplicate arcs must not change a single §5.2 decision: a repeated
+    /// register flow is the same input value counted once, and a memory
+    /// twin of a register arc is the same neighbour counted once. Twins
+    /// leave MinDist and MinLT unchanged, so the twinned body must give
+    /// the same decisions and the same schedule as the plain one.
+    #[test]
+    fn duplicate_arcs_leave_bidirectional_decisions_unchanged() {
+        use lsms_ir::{DepKind, DepVia};
+        use lsms_prng::SmallRng;
+        let m = huff_machine();
+        let mut tie_cases = 0;
+        for case in 0u64..64 {
+            let mut rng = SmallRng::seed_from_u64(0xd0b1 + case);
+            let n = 10usize;
+            let arcs: Vec<(usize, usize, u32)> = (0..rng.gen_range(4..=20usize))
+                .map(|_| {
+                    let (f, t): (usize, usize) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    // Zero-omega arcs point forward, so no zero-omega cycle.
+                    let omega = if t <= f { rng.gen_range(1..3u32) } else { 0 };
+                    (f, t, omega)
+                })
+                .collect();
+            let build = |twins: bool| {
+                let mut b = LoopBuilder::new("twins");
+                let fin = b.invariant(ValueType::Float, "fin");
+                let ops: Vec<_> = (0..n)
+                    .map(|_| {
+                        let v = b.new_value(ValueType::Float);
+                        b.op(OpKind::FMul, &[fin, fin], Some(v))
+                    })
+                    .collect();
+                for (i, &(f, t, omega)) in arcs.iter().enumerate() {
+                    b.flow_dep(ops[f], ops[t], omega);
+                    if twins && i % 3 == 0 {
+                        b.flow_dep(ops[f], ops[t], omega);
+                    }
+                    if twins && i % 2 == 0 {
+                        b.dep(ops[f], ops[t], DepKind::Flow, DepVia::Memory, omega);
+                    }
+                }
+                b.finish()
+            };
+            let (plain, twinned) = (build(false), build(true));
+            let pp = SchedProblem::new(&plain, &m).unwrap();
+            let pt = SchedProblem::new(&twinned, &m).unwrap();
+            let (a, da) = SlackScheduler::new().run_with_decisions(&pp);
+            let (b, db) = SlackScheduler::new().run_with_decisions(&pt);
+            assert_eq!(da, db, "case {case}: decisions moved");
+            assert_eq!(a.unwrap().times, b.unwrap().times, "case {case}");
+            tie_cases += u32::from(da.tie_early + da.tie_late > 0);
+        }
+        // Neighbour counts matter only on input/output ties.
+        assert!(tie_cases >= 8, "only {tie_cases} cases reached a tie");
     }
 
     #[test]

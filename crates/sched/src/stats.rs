@@ -21,10 +21,12 @@ pub struct SchedStats {
     pub step6_restarts: u64,
     /// Number of II values attempted (at least 1).
     pub attempts: u32,
-    /// `MinDist` cells read by bounds propagation (tightening, post-eject
-    /// recomputation, forcing sweeps). Sparse mode counts reachability-list
-    /// entries; the dense reference counts matrix probes — the dense/sparse
-    /// ratio is the work the reachability index avoids.
+    /// Entries of the 32-bit `MinDist` mirrors read by bounds maintenance:
+    /// `n` per placed node folded by each from-scratch Estart or Lstart
+    /// refresh (plus the `n` of the `Stop` column seeding each Lstart
+    /// refresh), two per ready node in each post-placement tightening,
+    /// and `2n` per forcing sweep for dependence violations (`n` nodes
+    /// including `Start`/`Stop`). Deterministic for a given schedule run.
     pub bounds_cells_touched: u64,
     /// Sum over central-loop iterations of the ready-set length scanned by
     /// `choose` — the selection cost the indexed ready set bounds.
